@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint bench
+.PHONY: all build test race lint bench bench-smoke
 
 all: build lint test
 
@@ -24,3 +24,8 @@ lint:
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
+
+# bench/ is a nested module the targets above skip: its own smoke test runs
+# every workload once at a small size and checks it against BENCHMARK.json.
+bench-smoke:
+	$(GO) test -C bench ./...

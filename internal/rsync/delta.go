@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"repro/internal/block"
+	"repro/internal/extent"
 	"repro/internal/metrics"
 )
 
@@ -252,6 +253,23 @@ func (d *Delta) Release() {
 // the final equality check against TargetLen still runs on the real length.
 const maxPatchPrealloc = 1 << 26 // 64 MiB
 
+// checkCopy validates copy op i against a base of baseLen bytes.
+func (op Op) checkCopy(i int, baseLen int64) error {
+	if op.Off < 0 || op.Len < 0 || op.Off+op.Len > baseLen {
+		return fmt.Errorf("rsync: op %d copy [%d,%d) out of base range %d",
+			i, op.Off, op.Off+op.Len, baseLen)
+	}
+	return nil
+}
+
+// checkLen validates the length a patch produced against d.TargetLen.
+func (d *Delta) checkLen(got int64) error {
+	if got != d.TargetLen {
+		return fmt.Errorf("rsync: patched length %d != target length %d", got, d.TargetLen)
+	}
+	return nil
+}
+
 // Patch applies d to base and returns the reconstructed target. It validates
 // every copy range against the base and the final length against
 // d.TargetLen. The meter is charged for the bytes materialized.
@@ -267,9 +285,8 @@ func Patch(base []byte, d *Delta, meter *metrics.CPUMeter) ([]byte, error) {
 	for i, op := range d.Ops {
 		switch op.Kind {
 		case OpCopy:
-			if op.Off < 0 || op.Len < 0 || op.Off+op.Len > int64(len(base)) {
-				return nil, fmt.Errorf("rsync: op %d copy [%d,%d) out of base range %d",
-					i, op.Off, op.Off+op.Len, len(base))
+			if err := op.checkCopy(i, int64(len(base))); err != nil {
+				return nil, err
 			}
 			out = append(out, base[op.Off:op.Off+op.Len]...)
 			meter.Copy(op.Len)
@@ -280,11 +297,38 @@ func Patch(base []byte, d *Delta, meter *metrics.CPUMeter) ([]byte, error) {
 			return nil, fmt.Errorf("rsync: op %d has unknown kind %d", i, op.Kind)
 		}
 	}
-	if int64(len(out)) != d.TargetLen {
-		return nil, fmt.Errorf("rsync: patched length %d != target length %d",
-			len(out), d.TargetLen)
+	if err := d.checkLen(int64(len(out))); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// PatchPages is Patch over page tables: it appends d's target to dst,
+// reading copy ops straight out of base's pages. A copy that starts
+// page-aligned on both sides shares base's pages by pointer; every other
+// byte is written once, into dst's own pages, and charged to dst's meter.
+// It accepts and rejects exactly what Patch does. On error dst holds a
+// prefix of the target.
+func PatchPages(dst *extent.Builder, base extent.File, d *Delta) error {
+	if d.TargetLen < 0 {
+		return fmt.Errorf("rsync: negative target length %d", d.TargetLen)
+	}
+	start := dst.Size()
+	dst.Reserve(start + d.TargetLen)
+	for i, op := range d.Ops {
+		switch op.Kind {
+		case OpCopy:
+			if err := op.checkCopy(i, base.Size()); err != nil {
+				return err
+			}
+			dst.AppendFrom(base, op.Off, op.Len)
+		case OpData:
+			dst.WriteAt(op.Data, dst.Size())
+		default:
+			return fmt.Errorf("rsync: op %d has unknown kind %d", i, op.Kind)
+		}
+	}
+	return d.checkLen(dst.Size() - start)
 }
 
 // MarshalBinary serializes the delta in a compact length-prefixed format.

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/block"
+	"repro/internal/extent"
 	"repro/internal/metrics"
 )
 
@@ -299,6 +300,68 @@ func TestPatchRejectsUnknownOp(t *testing.T) {
 	d := &Delta{TargetLen: 0, Ops: []Op{{Kind: 99}}}
 	if _, err := Patch(nil, d, nil); err == nil {
 		t.Fatal("Patch accepted unknown op kind")
+	}
+}
+
+// PatchPages is Patch over page tables: the same target from the same delta,
+// the same refusal (word for word) of a hostile one, and a meter charged for
+// the bytes copied — not for the pages an aligned copy shares with the base.
+func TestPatchPagesAgreesWithPatch(t *testing.T) {
+	base := randBytes(21, 5*extent.PageSize+1234)
+	baseFile := extent.New(base, nil)
+
+	insert := append(append(append([]byte(nil), base[:70000]...), randBytes(22, 3000)...), base[70000:]...)
+	inPlace := append([]byte(nil), base...)
+	copy(inPlace[2*extent.PageSize+50:], randBytes(23, 200))
+	deltas := map[string]*Delta{
+		"identical":       DeltaLocal(base, base, 4096, nil),
+		"insert":          DeltaLocal(base, insert, 4096, nil),
+		"in place":        DeltaLocal(base, inPlace, 4096, nil),
+		"truncated":       DeltaLocal(base, base[:3*extent.PageSize+4096], 4096, nil),
+		"empty target":    DeltaLocal(base, nil, 4096, nil),
+		"copy past base":  {TargetLen: 10, Ops: []Op{{Kind: OpCopy, Off: int64(len(base)) - 5, Len: 10}}},
+		"negative off":    {TargetLen: 5, Ops: []Op{{Kind: OpCopy, Off: -1, Len: 5}}},
+		"negative len":    {TargetLen: 5, Ops: []Op{{Kind: OpCopy, Off: 9, Len: -5}}},
+		"negative target": {TargetLen: -1},
+		"short of target": {TargetLen: 1 << 50, Ops: []Op{{Kind: OpData, Data: []byte("abc")}}},
+		"past target":     {TargetLen: 2, Ops: []Op{{Kind: OpCopy, Off: 0, Len: extent.PageSize}, {Kind: OpData, Data: []byte("abc")}}},
+		"unknown op":      {TargetLen: 0, Ops: []Op{{Kind: 99}}},
+	}
+	for name, d := range deltas {
+		want, wantErr := Patch(base, d, nil)
+		m := metrics.NewCPUMeter(metrics.PC)
+		b := extent.Edit(extent.File{}, m)
+		err := PatchPages(b, baseFile, d)
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Errorf("%s: PatchPages err = %v, Patch err = %v", name, err, wantErr)
+			continue
+		}
+		if err != nil {
+			continue
+		}
+		if got := b.File().Bytes(); !bytes.Equal(got, want) {
+			t.Errorf("%s: PatchPages and Patch reconstruct different targets", name)
+		}
+		copied := m.Breakdown()["copy_bytes"]
+		switch name {
+		case "identical", "truncated":
+			// One copy op from offset 0: every whole page is shared, and
+			// the part-page tail is shared as a prefix of its page.
+			if copied != 0 {
+				t.Errorf("%s: copied %d bytes, want 0 (pages shared)", name, copied)
+			}
+		case "in place":
+			// The blocks around the edit are copied up to the next page
+			// boundary; every page after it is shared again.
+			if copied > 2*extent.PageSize {
+				t.Errorf("in place: copied %d bytes for a 200 B edit, want at most two pages", copied)
+			}
+		case "insert":
+			// Everything after the insertion point has moved: written once.
+			if copied > int64(len(want)) {
+				t.Errorf("insert: copied %d bytes for a %d B target, want each byte at most once", copied, len(want))
+			}
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/extent"
 	"repro/internal/rsync"
 	"repro/internal/version"
 	"repro/internal/wire"
@@ -15,10 +16,12 @@ var errConflict = errors.New("server: base version mismatch")
 // debugConflicts enables conflict tracing (tests only).
 var debugConflicts = false
 
-// txn records compensation data so a partially applied batch can be rolled
-// back. Old content slices are retained by reference (mutating operations
-// copy-on-write), so rollback is cheap and allocation-light. The caller
-// holds the batch's shard locks (batchLocks) for every path the txn touches.
+// txn applies the nodes of one batch (or one node of a non-atomic batch) and
+// can undo them. File bodies are immutable extent.File values, so the undo
+// record of a path is its old value and rollback is a map store. The caller
+// holds the batch's shard locks (batchLocks) for every path the txn touches;
+// while it runs, the txn's accessors (exists, file, put, remove, edit) are
+// the only way file bodies are read or changed.
 type txn struct {
 	s *Server
 	// sharing reports whether the pusher's group has more than one member;
@@ -28,36 +31,43 @@ type txn struct {
 	// ops collects applied operations, appended to the server log on
 	// commit only.
 	ops []AppliedOp
-	// prevFiles maps each touched path to its prior content slice (nil
-	// plus absent=true for files that did not exist).
-	prevFiles map[string]prevFile
-	prevVers  map[string]version.ID
-	prevDirs  map[string]bool
+	// files holds, for each touched path, the body and version it had
+	// before the txn and the builder of its unpublished edits.
+	files    map[string]pathState
+	prevDirs map[string]bool
 }
 
-type prevFile struct {
-	content []byte
+// pathState is the txn's record of one file path.
+type pathState struct {
+	prev    extent.File
 	existed bool
+	prevVer version.ID
+	// open, when set, holds edits not yet published to the shard map, which
+	// is stale for this path until file or commit publishes them. Keeping
+	// the builder across nodes is what lets several writes to one file copy
+	// each page once between them.
+	open *extent.Builder
 }
 
 func newTxn(s *Server, sharing bool) *txn {
 	return &txn{
-		s:         s,
-		sharing:   sharing,
-		prevFiles: make(map[string]prevFile),
-		prevVers:  make(map[string]version.ID),
-		prevDirs:  make(map[string]bool),
+		s:        s,
+		sharing:  sharing,
+		files:    make(map[string]pathState),
+		prevDirs: make(map[string]bool),
 	}
 }
 
-// touch snapshots a path's state once.
-func (t *txn) touch(path string) {
-	if _, ok := t.prevFiles[path]; !ok {
+// touch records a path's state once, before the txn first changes it.
+func (t *txn) touch(path string) pathState {
+	ps, ok := t.files[path]
+	if !ok {
 		sh := t.s.shard(path)
-		c, existed := sh.files[path]
-		t.prevFiles[path] = prevFile{content: c, existed: existed}
-		t.prevVers[path] = sh.getVer(path)
+		ps.prev, ps.existed = sh.files[path]
+		ps.prevVer = sh.getVer(path)
+		t.files[path] = ps
 	}
+	return ps
 }
 
 func (t *txn) touchDir(path string) {
@@ -66,15 +76,69 @@ func (t *txn) touchDir(path string) {
 	}
 }
 
+// exists reports whether path is a file as the txn currently sees it.
+func (t *txn) exists(path string) bool {
+	if t.files[path].open != nil {
+		return true
+	}
+	_, ok := t.s.shard(path).files[path]
+	return ok
+}
+
+// file returns path's body as the txn currently sees it, publishing
+// unpublished edits first: the value may be shared from here on.
+func (t *txn) file(path string) (extent.File, bool) {
+	sh := t.s.shard(path)
+	if ps := t.files[path]; ps.open != nil {
+		sh.files[path] = ps.open.File()
+		ps.open = nil
+		t.files[path] = ps
+	}
+	f, ok := sh.files[path]
+	return f, ok
+}
+
+// put makes f the body of path, dropping unpublished edits.
+func (t *txn) put(path string, f extent.File) {
+	t.discard(path)
+	t.s.shard(path).files[path] = f
+}
+
+// remove deletes path's body, dropping unpublished edits.
+func (t *txn) remove(path string) {
+	t.discard(path)
+	delete(t.s.shard(path).files, path)
+}
+
+// discard touches path and drops its unpublished edits: the caller is about
+// to replace the body outright.
+func (t *txn) discard(path string) {
+	if ps := t.touch(path); ps.open != nil {
+		ps.open = nil
+		t.files[path] = ps
+	}
+}
+
+// edit returns the txn's builder for path, opened over the current body (the
+// empty file if path does not exist, which the edit then creates).
+func (t *txn) edit(path string) *extent.Builder {
+	ps := t.touch(path)
+	if ps.open == nil {
+		ps.open = extent.Edit(t.s.shard(path).files[path], t.s.meter)
+		t.files[path] = ps
+	}
+	return ps.open
+}
+
 func (t *txn) rollback() {
-	for p, pf := range t.prevFiles {
+	for p, ps := range t.files {
 		sh := t.s.shard(p)
-		if pf.existed {
-			sh.files[p] = pf.content
+		if ps.existed {
+			sh.files[p] = ps.prev
 		} else {
 			delete(sh.files, p)
 		}
-		sh.setVer(p, t.prevVers[p])
+		sh.setVer(p, ps.prevVer)
 	}
 	for p, existed := range t.prevDirs {
 		sh := t.s.shard(p)
@@ -86,46 +150,30 @@ func (t *txn) rollback() {
 	}
 }
 
-// commit finalizes the transaction, appending to the server's striped
-// applied-op log and recording history snapshots for conflict resolution
-// when the pusher's sharing group has multiple members. The caller still
-// holds the batch's shard locks, which is what makes the assigned commit
-// sequence numbers agree with per-path commit order (applied.go).
+// commit finalizes the transaction: it publishes the open builders, appends
+// to the server's striped applied-op log and, when the pusher's sharing
+// group has multiple members, retains each touched file's new value as a
+// revision for conflict resolution — a table that shares its pages with the
+// live file, never a copy. The caller still holds the batch's shard locks,
+// which is what makes the assigned commit sequence numbers agree with
+// per-path commit order (applied.go).
 func (t *txn) commit() {
 	t.s.applied.append(t.ops)
-	if !t.sharing {
-		return
-	}
-	for p := range t.prevFiles {
+	for p, ps := range t.files {
 		sh := t.s.shard(p)
+		if ps.open != nil {
+			sh.files[p] = ps.open.File()
+		}
 		c, ok := sh.files[p]
-		if !ok {
+		if !ok || !t.sharing {
 			continue
 		}
-		snap := append([]byte(nil), c...)
-		t.s.meter.Copy(int64(len(snap)))
-		h := append(sh.history[p], revision{ver: sh.getVer(p), content: snap})
+		h := append(sh.history[p], revision{ver: sh.getVer(p), content: c})
 		if len(h) > HistoryDepth {
 			h = h[len(h)-HistoryDepth:]
 		}
 		sh.history[p] = h
 	}
-}
-
-// mutable returns a content buffer for path that is safe to modify in place:
-// the prior slice is preserved in the txn, so the first mutation of a path
-// in a transaction copies it.
-func (t *txn) mutable(path string, minLen int64) []byte {
-	t.touch(path)
-	cur := t.s.shard(path).files[path]
-	n := int64(len(cur))
-	if minLen > n {
-		n = minLen
-	}
-	fresh := make([]byte, n)
-	copy(fresh, cur)
-	t.s.meter.Copy(int64(len(cur)))
-	return fresh
 }
 
 // checkBase verifies the node's base version against the live map.
@@ -156,53 +204,57 @@ func (s *Server) applyNode(t *txn, n *wire.Node) error {
 	sh := s.shard(n.Path)
 	switch n.Kind {
 	case wire.NCreate:
-		t.touch(n.Path)
-		sh.files[n.Path] = nil
-
-	case wire.NWrite:
-		var maxEnd int64
-		for _, e := range n.Extents {
-			if e.Off < 0 {
-				return fmt.Errorf("write %s: negative extent offset %d", n.Path, e.Off)
-			}
-			if end := e.Off + int64(len(e.Data)); end > maxEnd {
-				maxEnd = end
-			}
-		}
-		buf := t.mutable(n.Path, maxEnd)
-		for _, e := range n.Extents {
-			copy(buf[e.Off:], e.Data)
-			s.meter.Copy(int64(len(e.Data)))
-		}
-		sh.files[n.Path] = buf
+		t.put(n.Path, extent.File{})
 
 	case wire.NTruncate:
-		t.touch(n.Path)
-		cur, ok := sh.files[n.Path]
-		if !ok {
+		if !t.exists(n.Path) {
 			return fmt.Errorf("truncate: %s does not exist", n.Path)
 		}
-		if n.Size <= int64(len(cur)) {
-			// Slicing shares the old array; the txn retains the original
-			// slice header, so rollback still sees the full content.
-			sh.files[n.Path] = cur[:n.Size:n.Size]
-		} else {
-			buf := make([]byte, n.Size)
-			copy(buf, cur)
-			s.meter.Copy(int64(len(cur)))
-			sh.files[n.Path] = buf
+		if err := s.writeContent(t.edit(n.Path), extent.File{}, n); err != nil {
+			return err
+		}
+
+	case wire.NWrite:
+		if err := s.writeContent(t.edit(n.Path), extent.File{}, n); err != nil {
+			return err
+		}
+
+	case wire.NFull:
+		t.put(n.Path, extent.New(n.Full, s.meter))
+
+	case wire.NDelta:
+		basePath := n.BasePath
+		if basePath == "" {
+			basePath = n.Path
+		}
+		base, _ := t.file(basePath)
+		if err := s.writeContent(t.edit(n.Path), base, n); err != nil {
+			return fmt.Errorf("delta on %s (base %s): %w", n.Path, basePath, err)
+		}
+
+	case wire.NCDC:
+		if err := s.writeContent(t.edit(n.Path), extent.File{}, n); err != nil {
+			return err
+		}
+		// Carried chunks enter the store only after every reference in the
+		// node has been resolved: the client built its references against
+		// the store's state at push time, and an insert could evict a chunk
+		// a later reference in this very node still needs. Per-stripe, so
+		// no server-wide lock on the push path.
+		for _, c := range n.Chunks {
+			if c.Data != nil {
+				s.storeChunk(c.Hash, append([]byte(nil), c.Data...))
+			}
 		}
 
 	case wire.NRename:
-		t.touch(n.Path)
-		t.touch(n.Dst)
-		c, ok := sh.files[n.Path]
+		c, ok := t.file(n.Path)
 		if !ok {
 			return fmt.Errorf("rename: %s does not exist", n.Path)
 		}
 		dsh := s.shard(n.Dst)
-		dsh.files[n.Dst] = c
-		delete(sh.files, n.Path)
+		t.put(n.Dst, c)
+		t.remove(n.Path)
 		// version.Map.Rename semantics across (possibly) two shards.
 		if v := sh.getVer(n.Path); !v.IsZero() {
 			dsh.setVer(n.Dst, v)
@@ -212,22 +264,20 @@ func (s *Server) applyNode(t *txn, n *wire.Node) error {
 		}
 
 	case wire.NLink:
-		t.touch(n.Path)
-		t.touch(n.Dst)
-		c, ok := sh.files[n.Path]
+		c, ok := t.file(n.Path)
 		if !ok {
 			return fmt.Errorf("link: %s does not exist", n.Path)
 		}
-		// The server store has no inodes; a link materializes as a copy
-		// that shares the content slice (copied on next write).
-		s.shard(n.Dst).files[n.Dst] = c
+		// The server store has no inodes: the new name gets the same value.
+		// The source is touched so that it, too, gains a revision.
+		t.touch(n.Path)
+		t.put(n.Dst, c)
 
 	case wire.NUnlink:
-		t.touch(n.Path)
-		if _, ok := sh.files[n.Path]; !ok {
+		if !t.exists(n.Path) {
 			return fmt.Errorf("unlink: %s does not exist", n.Path)
 		}
-		delete(sh.files, n.Path)
+		t.remove(n.Path)
 		sh.setVer(n.Path, version.ID{})
 
 	case wire.NMkdir:
@@ -239,67 +289,6 @@ func (s *Server) applyNode(t *txn, n *wire.Node) error {
 		t.touchDir(n.Path)
 		delete(sh.dirs, n.Path)
 		return nil
-
-	case wire.NDelta:
-		basePath := n.BasePath
-		if basePath == "" {
-			basePath = n.Path
-		}
-		base := s.shard(basePath).files[basePath]
-		out, err := rsync.Patch(base, n.Delta, s.meter)
-		if err != nil {
-			return fmt.Errorf("delta on %s (base %s): %w", n.Path, basePath, err)
-		}
-		t.touch(n.Path)
-		sh.files[n.Path] = out
-
-	case wire.NFull:
-		t.touch(n.Path)
-		buf := append([]byte(nil), n.Full...)
-		s.meter.Copy(int64(len(buf)))
-		sh.files[n.Path] = buf
-
-	case wire.NCDC:
-		t.touch(n.Path)
-		// Resolve every reference before storing any carried chunk: the
-		// client built its references against the store's state at push
-		// time, and inserting new chunks first could evict a chunk a later
-		// reference in this very node still needs.
-		resolved := make([][]byte, len(n.Chunks))
-		for i, c := range n.Chunks {
-			data := c.Data
-			if data == nil {
-				stored, ok := s.chunk(c.Hash)
-				if !ok {
-					return fmt.Errorf("cdc: %s references unknown chunk %x", n.Path, c.Hash[:4])
-				}
-				data = stored
-			}
-			if int64(len(data)) != c.Len {
-				return fmt.Errorf("cdc: chunk %x length %d != %d", c.Hash[:4], len(data), c.Len)
-			}
-			resolved[i] = data
-		}
-		// Size the assembly buffer from the verified chunk lengths, not the
-		// wire-claimed ones: by this point every resolved[i] has had its
-		// actual length checked, so the sum cannot be inflated by a hostile
-		// ChunkRef.Len.
-		var total int64
-		for i := range resolved {
-			total += int64(len(resolved[i]))
-		}
-		// Store carried chunks per-stripe: no server-wide lock on the push
-		// path. The resolved slices stay valid regardless of eviction (the
-		// backing arrays outlive the map entries).
-		buf := make([]byte, 0, total)
-		for i, c := range n.Chunks {
-			if c.Data != nil {
-				s.storeChunk(c.Hash, append([]byte(nil), c.Data...))
-			}
-			buf = append(buf, resolved[i]...)
-			s.meter.Copy(int64(len(resolved[i])))
-		}
-		sh.files[n.Path] = buf
 
 	default:
 		return fmt.Errorf("unknown node kind %d", n.Kind)
@@ -321,6 +310,65 @@ func (s *Server) applyNode(t *txn, n *wire.Node) error {
 		if !n.Ver.IsZero() {
 			sh.setVer(n.Path, n.Ver)
 		}
+	}
+	return nil
+}
+
+// writeContent turns b, a builder over the body a content-bearing node
+// applies to, into the body the node produces. base is the delta base
+// (NDelta only). Every byte that ends up in b's pages is copied there:
+// decoded extents alias pooled frame buffers and are never kept.
+func (s *Server) writeContent(b *extent.Builder, base extent.File, n *wire.Node) error {
+	switch n.Kind {
+	case wire.NWrite:
+		var maxEnd int64
+		for _, e := range n.Extents {
+			if e.Off < 0 {
+				return fmt.Errorf("write %s: negative extent offset %d", n.Path, e.Off)
+			}
+			if end := e.Off + int64(len(e.Data)); end > maxEnd {
+				maxEnd = end
+			}
+		}
+		b.Reserve(maxEnd)
+		for _, e := range n.Extents {
+			b.WriteAt(e.Data, e.Off)
+		}
+	case wire.NTruncate:
+		b.Truncate(n.Size)
+	case wire.NFull:
+		b.Truncate(0)
+		b.WriteAt(n.Full, 0)
+	case wire.NDelta:
+		b.Truncate(0)
+		return rsync.PatchPages(b, base, n.Delta)
+	case wire.NCDC:
+		// Resolve and verify every chunk before assembling, and size the
+		// assembly from the verified lengths, not the wire-claimed ones.
+		resolved := make([][]byte, len(n.Chunks))
+		var total int64
+		for i, c := range n.Chunks {
+			data := c.Data
+			if data == nil {
+				stored, ok := s.chunk(c.Hash)
+				if !ok {
+					return fmt.Errorf("cdc: %s references unknown chunk %x", n.Path, c.Hash[:4])
+				}
+				data = stored
+			}
+			if int64(len(data)) != c.Len {
+				return fmt.Errorf("cdc: chunk %x length %d != %d", c.Hash[:4], len(data), c.Len)
+			}
+			resolved[i] = data
+			total += int64(len(data))
+		}
+		b.Truncate(0)
+		b.Reserve(total)
+		for _, data := range resolved {
+			b.WriteAt(data, b.Size())
+		}
+	default:
+		return fmt.Errorf("node kind %v carries no content", n.Kind)
 	}
 	return nil
 }
@@ -354,82 +402,29 @@ func (s *Server) materializeConflict(from uint32, nodes []*wire.Node) []string {
 		if !conflictEligible(n.Kind) {
 			continue
 		}
-		base, ok := s.historyContent(n.Path, n.Base)
-		if !ok {
-			// No retrievable base: fall back to an empty conflict marker
-			// file so the user still learns about the lost update.
-			base = nil
-		}
-		content, err := s.applyToContent(base, n)
-		if err != nil {
+		base := s.historyContent(n.Path, n.Base)
+		b := extent.Edit(base, s.meter)
+		if err := s.writeContent(b, base, n); err != nil {
 			continue
 		}
 		name := conflictName(n, from)
-		s.shard(name).files[name] = content
+		s.shard(name).files[name] = b.File()
 		out = append(out, name)
 	}
 	return out
 }
 
-// historyContent finds the retained snapshot of path at version v. A zero
-// version resolves to empty content. The caller holds path's shard lock.
-func (s *Server) historyContent(path string, v version.ID) ([]byte, bool) {
-	if v.IsZero() {
-		return nil, true
-	}
+// historyContent finds the retained revision of path at version v. A zero
+// version is the empty file, and so is a revision no longer retained: the
+// conflict copy then holds the losing update alone, so the user still learns
+// about it. The caller holds path's shard lock.
+func (s *Server) historyContent(path string, v version.ID) extent.File {
 	for _, rev := range s.shard(path).history[path] {
-		if rev.ver == v {
-			return rev.content, true
+		if rev.ver == v && !v.IsZero() {
+			return rev.content
 		}
 	}
-	return nil, false
-}
-
-// applyToContent applies a single content-bearing node to a standalone
-// buffer (conflict materialization).
-func (s *Server) applyToContent(base []byte, n *wire.Node) ([]byte, error) {
-	switch n.Kind {
-	case wire.NWrite:
-		buf := append([]byte(nil), base...)
-		for _, e := range n.Extents {
-			if e.Off < 0 {
-				return nil, fmt.Errorf("write %s: negative extent offset %d", n.Path, e.Off)
-			}
-			if end := e.Off + int64(len(e.Data)); end > int64(len(buf)) {
-				grown := make([]byte, end)
-				copy(grown, buf)
-				buf = grown
-			}
-			copy(buf[e.Off:], e.Data)
-		}
-		return buf, nil
-	case wire.NTruncate:
-		if n.Size <= int64(len(base)) {
-			return append([]byte(nil), base[:n.Size]...), nil
-		}
-		buf := make([]byte, n.Size)
-		copy(buf, base)
-		return buf, nil
-	case wire.NDelta:
-		return rsync.Patch(base, n.Delta, s.meter)
-	case wire.NFull:
-		return append([]byte(nil), n.Full...), nil
-	case wire.NCDC:
-		var buf []byte
-		for _, c := range n.Chunks {
-			data := c.Data
-			if data == nil {
-				stored, ok := s.chunk(c.Hash)
-				if !ok {
-					return nil, fmt.Errorf("cdc conflict: unknown chunk")
-				}
-				data = stored
-			}
-			buf = append(buf, data...)
-		}
-		return buf, nil
-	}
-	return nil, fmt.Errorf("node kind %v carries no content", n.Kind)
+	return extent.File{}
 }
 
 // EnableConflictDebug toggles conflict tracing (tests only).

@@ -7,9 +7,11 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"maps"
 	"path/filepath"
 
 	"repro/internal/block"
+	"repro/internal/extent"
 	"repro/internal/storagefault"
 	"repro/internal/version"
 	"repro/internal/wire"
@@ -63,11 +65,28 @@ type snapshotState struct {
 
 const snapshotVersion = 3
 
-// Save writes the server's durable state to w. It quiesces the server for
-// the duration: per-client push locks are taken in ascending client-ID
-// order, then every shard lock (the same outermost-first order Push uses,
-// so a snapshot can never deadlock with in-flight batches).
+// Save writes the server's durable state to w. The server is quiesced only
+// while the state is captured, not while it is written: file bodies are
+// immutable values, so the capture takes their tables and the flattening and
+// encoding happen after every lock is released.
 func (s *Server) Save(w io.Writer) error {
+	state, files := s.capture()
+	for p, f := range files {
+		state.Files[p] = f.Bytes()
+	}
+	if err := gob.NewEncoder(w).Encode(state); err != nil {
+		return fmt.Errorf("server: save: %w", err)
+	}
+	return nil
+}
+
+// capture takes a consistent cut of the durable state: per-client push locks
+// in ascending client-ID order, then every shard lock (the same
+// outermost-first order Push uses, so a snapshot can never deadlock with
+// in-flight batches), then the chunk store. Everything a later push could
+// change is copied out — tables and maps, never file contents — and the
+// journal's snapshot boundary is captured under the same locks.
+func (s *Server) capture() (*snapshotState, map[string]extent.File) {
 	refs := s.clientSnapshot()
 	for _, ref := range refs {
 		ref.cs.pushMu.Lock()
@@ -102,29 +121,30 @@ func (s *Server) Save(w io.Writer) error {
 		}
 	}()
 	// Merge the residency stripes into the snapshot's single chunk map; the
-	// FIFO is already global and goes out as-is.
+	// FIFO is already global.
 	chunks := make(map[block.Strong][]byte)
 	for i := range s.chunkStripes {
 		for h, d := range s.chunkStripes[i].data {
 			chunks[h] = d
 		}
 	}
-	state := snapshotState{
+	state := &snapshotState{
 		Version:     snapshotVersion,
 		Files:       make(map[string][]byte),
 		Dirs:        make(map[string]bool),
 		Vers:        make(map[string]version.ID),
 		Chunks:      chunks,
-		ChunkFIFO:   s.chunkFIFO,
+		ChunkFIFO:   append([]block.Strong(nil), s.chunkFIFO...),
 		Applied:     s.applied.snapshot(),
 		NextClient:  nextClient,
 		Dedup:       make(map[uint32]snapshotReplyCache, len(refs)),
 		AppliedSeqs: make(map[uint32]map[uint64]int, len(refs)),
 		Groups:      groups,
 	}
+	files := make(map[string]extent.File)
 	for _, sh := range s.shards {
-		for p, c := range sh.files {
-			state.Files[p] = c
+		for p, f := range sh.files {
+			files[p] = f
 			if v := sh.getVer(p); !v.IsZero() {
 				state.Vers[p] = v
 			}
@@ -138,32 +158,26 @@ func (s *Server) Save(w io.Writer) error {
 		if rc.maxSeq == 0 && len(rc.order) == 0 && len(ref.cs.appliedSeqs) == 0 {
 			continue
 		}
-		src := snapshotReplyCache{MaxSeq: rc.maxSeq, Seqs: rc.order}
+		src := snapshotReplyCache{MaxSeq: rc.maxSeq, Seqs: append([]uint64(nil), rc.order...)}
 		for _, seq := range rc.order {
 			src.Replies = append(src.Replies, rc.replies[seq])
 		}
 		state.Dedup[ref.id] = src
 		if len(ref.cs.appliedSeqs) > 0 {
-			state.AppliedSeqs[ref.id] = ref.cs.appliedSeqs
+			state.AppliedSeqs[ref.id] = maps.Clone(ref.cs.appliedSeqs)
 		}
 	}
-	if err := gob.NewEncoder(w).Encode(&state); err != nil {
-		return fmt.Errorf("server: save: %w", err)
-	}
-	// The quiesce set is still held: every batch the snapshot captured has
-	// been journaled (Record runs under shard locks before apply), and no
-	// batch can commit until Save returns. Capturing the journal boundary
-	// here means TruncateSnapshotted drops exactly the entries the snapshot
-	// covers — nothing the snapshot missed. The boundary is only committed
-	// durably by SaveFile once the snapshot itself is atomically in place.
+	// Every batch the cut holds has been journaled (Record runs under shard
+	// locks before apply), and no batch can commit until the locks drop.
+	// Capturing the journal boundary here means TruncateSnapshotted drops
+	// exactly the entries the snapshot covers — nothing the snapshot missed.
+	// The boundary is only committed durably by SaveFile once the snapshot
+	// itself is atomically in place.
 	if j := s.journal.Load(); j != nil {
-		// Capturing the boundary under the quiesce set is the correctness
-		// condition: no batch can journal or commit until Save releases, so
-		// the boundary covers exactly what the snapshot holds.
 		//deltavet:allow blockunderlock journal boundary must be captured while the snapshot quiesce set is held
 		j.captureSnapshot()
 	}
-	return nil
+	return state, files
 }
 
 // Load restores state saved by Save into a fresh server. It must be called
@@ -192,13 +206,13 @@ func (s *Server) Load(r io.Reader) error {
 	s.lockAllShards()
 
 	for _, sh := range s.shards {
-		sh.files = make(map[string][]byte)
+		sh.files = make(map[string]extent.File)
 		sh.dirs = make(map[string]bool)
 		sh.vers = make(map[string]version.ID)
 		sh.history = make(map[string][]revision)
 	}
 	for p, c := range state.Files {
-		s.shard(p).files[p] = c
+		s.shard(p).files[p] = extent.New(c, nil)
 	}
 	if state.Dirs != nil {
 		for p := range state.Dirs {

@@ -20,6 +20,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/block"
+	"repro/internal/extent"
 	"repro/internal/metrics"
 	"repro/internal/storagefault"
 	"repro/internal/version"
@@ -33,10 +34,11 @@ import (
 // registered — a single writer can never conflict with itself.
 const HistoryDepth = 3
 
-// revision is one retained file version.
+// revision is one retained file version. Its content shares pages with the
+// live file and with the other revisions: retaining it retains a table.
 type revision struct {
 	ver     version.ID
-	content []byte
+	content extent.File
 }
 
 // ReplyCacheDepth bounds how many PushReplies the server retains per client
@@ -310,9 +312,10 @@ func (s *Server) Attach(client uint32) {
 // an experiment start from identical state). No version is assigned: the
 // file starts at the zero version, matching clients that seed the same way.
 func (s *Server) SeedFile(path string, content []byte) {
+	f := extent.New(content, nil)
 	sh := s.shard(path)
 	sh.lockOne()
-	sh.files[path] = append([]byte(nil), content...)
+	sh.files[path] = f
 	sh.unlockOne()
 }
 
@@ -385,16 +388,24 @@ func (s *Server) chunk(h block.Strong) ([]byte, bool) {
 	return d, ok
 }
 
-// FileContent returns a copy of the file's current content.
-func (s *Server) FileContent(path string) ([]byte, bool) {
+// body returns path's current content and version. The value is immutable,
+// so readers take it under the shard's read lock and copy out of it after
+// releasing the lock: a reader of a big file never holds up a push.
+func (s *Server) body(path string) (extent.File, version.ID, bool) {
 	sh := s.shard(path)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	c, ok := sh.files[path]
+	f, ok := sh.files[path]
+	return f, sh.getVer(path), ok
+}
+
+// FileContent returns a copy of the file's current content.
+func (s *Server) FileContent(path string) ([]byte, bool) {
+	f, _, ok := s.body(path)
 	if !ok {
 		return nil, false
 	}
-	return append([]byte(nil), c...), true
+	return f.Bytes(), true
 }
 
 // Files returns the stored paths in sorted order. Shard count and map
@@ -454,40 +465,31 @@ func (s *Server) Version(path string) version.ID {
 // Fetch returns a file's content and version.
 func (s *Server) Fetch(path string) *wire.FetchReply {
 	s.meter.RPC(1)
-	sh := s.shard(path)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	c, ok := sh.files[path]
+	f, ver, ok := s.body(path)
 	if !ok {
 		return &wire.FetchReply{}
 	}
-	out := append([]byte(nil), c...)
+	out := f.Bytes()
 	s.meter.Copy(int64(len(out)))
 	s.meter.Net(int64(len(out)))
-	return &wire.FetchReply{Content: out, Ver: sh.getVer(path), Exists: true}
+	return &wire.FetchReply{Content: out, Ver: ver, Exists: true}
 }
 
 // FetchRange returns part of a file (clipped at EOF).
 func (s *Server) FetchRange(path string, off, n int64) ([]byte, error) {
 	s.meter.RPC(1)
-	sh := s.shard(path)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	c, ok := sh.files[path]
+	f, _, ok := s.body(path)
 	if !ok {
 		return nil, fmt.Errorf("server: fetch range: %s does not exist", path)
 	}
 	if off < 0 || n < 0 {
 		return nil, fmt.Errorf("server: fetch range: negative range")
 	}
-	if off >= int64(len(c)) {
+	if off >= f.Size() {
 		return nil, nil
 	}
-	end := off + n
-	if end > int64(len(c)) {
-		end = int64(len(c))
-	}
-	out := append([]byte(nil), c[off:end]...)
+	out := make([]byte, min(n, f.Size()-off))
+	f.ReadAt(out, off)
 	s.meter.Copy(int64(len(out)))
 	s.meter.Net(int64(len(out)))
 	return out, nil

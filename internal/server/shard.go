@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/extent"
 	"repro/internal/version"
 	"repro/internal/wire"
 )
@@ -50,10 +51,12 @@ const DefaultShards = 64
 
 // fileShard is one stripe of the server's per-path state: contents,
 // directories, versions, and the recent-revision history used for conflict
-// materialization. Everything in it is guarded by mu.
+// materialization. Everything in it is guarded by mu — the maps, that is:
+// the extent.File values in them are immutable, so a reader that has copied
+// one out under the lock needs the lock no longer.
 type fileShard struct {
 	mu      sync.RWMutex
-	files   map[string][]byte
+	files   map[string]extent.File
 	dirs    map[string]bool
 	vers    map[string]version.ID
 	history map[string][]revision
@@ -61,7 +64,7 @@ type fileShard struct {
 
 func newFileShard() *fileShard {
 	return &fileShard{
-		files:   make(map[string][]byte),
+		files:   make(map[string]extent.File),
 		dirs:    make(map[string]bool),
 		vers:    make(map[string]version.ID),
 		history: make(map[string][]revision),

@@ -99,12 +99,27 @@ func (m *MemFS) WriteAt(p string, off int64, data []byte) error {
 	}
 	end := off + int64(len(data))
 	if int64(len(f.data)) < end {
-		grown := make([]byte, end)
-		copy(grown, f.data)
-		f.data = grown
+		f.data = growZeroed(f.data, end)
 	}
 	copy(f.data[off:end], data)
 	return nil
+}
+
+// growZeroed extends data to n bytes, zero-filling the extension. Capacity
+// doubles, so a file built by appends is copied a bounded number of times
+// rather than once per write. MemFS keeps one flat slice rather than adopt
+// extent.File: its writes land in place and cost nothing today, and a page
+// table would turn every 100 B in-place write into a 64 KiB page copy.
+func growZeroed(data []byte, n int64) []byte {
+	if n <= int64(cap(data)) {
+		old := len(data)
+		data = data[:n]
+		clear(data[old:]) // Truncate and Create shrink in place: stale bytes may sit past len
+		return data
+	}
+	grown := make([]byte, n, max(n, 2*int64(cap(data))))
+	copy(grown, data)
+	return grown
 }
 
 // ReadAt reads up to n bytes at offset off. Reading past EOF returns the
@@ -163,9 +178,7 @@ func (m *MemFS) Truncate(p string, size int64) error {
 		f.data = f.data[:size]
 		return nil
 	}
-	grown := make([]byte, size)
-	copy(grown, f.data)
-	f.data = grown
+	f.data = growZeroed(f.data, size)
 	return nil
 }
 

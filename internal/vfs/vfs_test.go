@@ -3,6 +3,7 @@ package vfs
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 )
 
@@ -303,6 +304,51 @@ func TestMemFSTotalBytes(t *testing.T) {
 	m.WriteAt("b", 0, make([]byte, 50))
 	if got := m.TotalBytes(); got != 150 {
 		t.Fatalf("TotalBytes = %d, want 150", got)
+	}
+}
+
+// A file built by appends must not be re-copied on every write: MemFS grew
+// by exact-size copy, which made 4 096 appends allocate 2 000 times the
+// file. Shrinking and regrowing within capacity must still read as zeros.
+func TestMemFSAppendsGrowAmortised(t *testing.T) {
+	const chunk, appends = 4 << 10, 4096
+	m := NewMemFS()
+	if err := m.Create("log"); err != nil {
+		t.Fatal(err)
+	}
+	data := bytes.Repeat([]byte{0x5A}, chunk)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < appends; i++ {
+		if err := m.WriteAt("log", int64(i)*chunk, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	const final = chunk * appends
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 4*final {
+		t.Fatalf("%d appends of %d B allocated %d B, want < %d (4x the final size)", appends, chunk, got, 4*final)
+	}
+	if info, err := m.Stat("log"); err != nil || info.Size != final {
+		t.Fatalf("Stat = %+v, %v; want size %d", info, err, final)
+	}
+
+	if err := m.Truncate("log", 10); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.WriteAt("log", 100, []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := m.ReadFile("log")
+	want := append(append(bytes.Repeat([]byte{0x5A}, 10), make([]byte, 90)...), 1)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("after shrinking to 10 and writing at 100: %d bytes, err %v; the gap must read as zeros", len(got), err)
+	}
+	if err := m.Truncate("log", 300); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := m.ReadAt("log", 101, 199); !bytes.Equal(got, make([]byte, 199)) {
+		t.Fatal("Truncate grew the file over stale bytes")
 	}
 }
 

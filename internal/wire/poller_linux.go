@@ -43,7 +43,8 @@ func newConnPoller() (*connPoller, error) {
 	p := &connPoller{epfd: epfd, wakeR: pipe[0], wakeW: pipe[1], conns: make(map[uint32]*polledConn)}
 	ev := syscall.EpollEvent{Events: uint32(syscall.EPOLLIN), Fd: 0}
 	if err := syscall.EpollCtl(epfd, syscall.EPOLL_CTL_ADD, p.wakeR, &ev); err != nil {
-		p.closeFDs()
+		syscall.Close(p.wakeW)
+		p.release()
 		return nil, err
 	}
 	return p, nil
@@ -128,7 +129,12 @@ func (p *connPoller) wait() ([]*polledConn, error) {
 	}
 }
 
-// close wakes wait() and releases the poller's descriptors.
+// close marks the poller closed and wakes wait(). It closes only the write
+// end of the wake pipe: the goroutine blocked in wait() owns the read end and
+// the epoll descriptor and releases them itself once it has seen the wake.
+// Closing them here would race the wake byte — when the close won,
+// epoll_wait never returned and the dispatch goroutine leaked with
+// everything it references.
 func (p *connPoller) close() {
 	p.mu.Lock()
 	if p.closed {
@@ -137,14 +143,13 @@ func (p *connPoller) close() {
 	}
 	p.closed = true
 	p.mu.Unlock()
-	syscall.Write(p.wakeW, []byte{1}) // wake the dispatch loop; close(epfd) alone does not
-	p.closeFDs()
+	syscall.Write(p.wakeW, []byte{1})
+	syscall.Close(p.wakeW)
 }
 
-func (p *connPoller) closeFDs() {
-	syscall.Close(p.wakeW)
-	// wakeR and epfd are closed after the wake byte is delivered; EpollWait
-	// returns via the token-0 event, not via the close itself.
+// release closes the descriptors wait() blocks on. Only the goroutine that
+// calls wait() may call it, after its last wait().
+func (p *connPoller) release() {
 	syscall.Close(p.wakeR)
 	syscall.Close(p.epfd)
 }

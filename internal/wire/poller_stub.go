@@ -20,3 +20,4 @@ func (p *connPoller) remove(pc *polledConn)        {}
 func (p *connPoller) snapshot() []*polledConn      { return nil }
 func (p *connPoller) wait() ([]*polledConn, error) { return nil, errors.New("wire: no poller") }
 func (p *connPoller) close()                       {}
+func (p *connPoller) release()                     {}

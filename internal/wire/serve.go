@@ -170,8 +170,10 @@ func (s *serveState) worker() {
 
 // dispatchLoop drains the poller and hands ready connections to the
 // workers. A full work channel applies backpressure to the poller (events
-// are one-shot, so nothing re-fires while waiting).
+// are one-shot, so nothing re-fires while waiting). It is the only caller
+// of wait(), so it releases the poller's descriptors on its way out.
 func (s *serveState) dispatchLoop() {
+	defer s.poller.release()
 	for {
 		ready, err := s.poller.wait()
 		if err != nil {
