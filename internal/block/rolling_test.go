@@ -25,6 +25,25 @@ func TestRollingUpdateMatchesOneShot(t *testing.T) {
 	if one.Sum() != inc.Sum() {
 		t.Fatalf("incremental sum %#x != one-shot sum %#x", inc.Sum(), one.Sum())
 	}
+	// The one-shot path takes eight bytes a step; byte-at-a-time is the
+	// definition. Every length around the step, and a run long and heavy
+	// enough to wrap the 32-bit accumulators many times over.
+	rng := rand.New(rand.NewSource(2))
+	inputs := [][]byte{bytes.Repeat([]byte{0xff}, 1<<20)}
+	for n := 0; n <= 40; n++ {
+		p := make([]byte, n)
+		rng.Read(p)
+		inputs = append(inputs, p)
+	}
+	for _, p := range inputs {
+		var inc Rolling
+		for _, c := range p {
+			inc.Update([]byte{c})
+		}
+		if one := NewRolling(p); one != inc {
+			t.Fatalf("len %d: one-shot %+v != byte-at-a-time %+v", len(p), one, inc)
+		}
+	}
 }
 
 func TestRollingRollMatchesRecompute(t *testing.T) {

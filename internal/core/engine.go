@@ -140,9 +140,9 @@ type Engine struct {
 	pendingDelta map[string]pendingBase
 	// trashVer remembers the cloud-visible version a file had when it was
 	// unlinked into the trash, so a triggered delta can chain onto it.
-	trashVer   map[string]version.ID
-	trashSeq   int
-	trashReady bool
+	trashVer      map[string]version.ID
+	trashSeq      int
+	stateDirReady bool
 
 	lastPoll    time.Duration
 	lastPushErr error
@@ -471,19 +471,19 @@ func (e *Engine) Rename(oldPath, newPath string) error {
 				kinds := e.q.PendingKinds(newPath)
 				if len(kinds) > 0 && kinds[len(kinds)-1] == syncqueue.KindUnlink &&
 					e.q.RemoveRecent(newPath, syncqueue.KindUnlink) {
-					e.triggerRenameDelta(oldPath, ent.Dst, newPath)
+					e.triggerRenameDelta(oldPath, st.Size, ent.Dst, newPath)
 				}
 				_ = e.backing.Unlink(ent.Dst)
 				delete(e.trashVer, ent.Dst)
 			} else {
-				e.triggerRenameDelta(oldPath, ent.Dst, ent.Dst)
+				e.triggerRenameDelta(oldPath, st.Size, ent.Dst, ent.Dst)
 			}
 			e.rel.Remove(newPath)
 		} else if dstSt, err := e.backing.Stat(newPath); err == nil && !dstSt.IsDir && dstSt.Size > 0 {
 			// Table I trigger 2: the name already exists (gedit). Base is
 			// the current content of newPath, still intact on the cloud at
 			// the delta node's queue position.
-			e.triggerRenameDelta(oldPath, newPath, newPath)
+			e.triggerRenameDelta(oldPath, st.Size, newPath, newPath)
 		}
 	}
 	if err := e.backing.Rename(oldPath, newPath); err != nil {
@@ -518,56 +518,95 @@ func (e *Engine) Rename(oldPath, newPath string) error {
 	return nil
 }
 
-// triggerRenameDelta computes a local delta between srcPath's new content
-// and the preserved base, replacing srcPath's buffered write node. basePath
-// is read locally; serverBase names the delta base as the server will
-// resolve it at the node's queue position.
+// triggerRenameDelta replaces srcPath's buffered write node with a local
+// delta of srcPath's new content (size bytes) against the preserved base.
+// basePath is read locally; serverBase names the delta base as the server
+// will resolve it at the node's queue position.
 //
-// The queue substitution, version stamp and stats all happen here, at the
-// same sequence point a fully serial engine would make them; only the rsync
-// encode itself runs on the worker pool, against content snapshots taken
-// now. The reserved node ships only after the pool joins (Tick and Drain
-// join before releasing batches), so an unfilled delta can never upload.
-func (e *Engine) triggerRenameDelta(srcPath, basePath, serverBase string) {
-	newContent, err := e.backing.ReadFile(srcPath)
-	if err != nil {
+// Whether the delta can ship is decided first, from the queue alone: if the
+// raw writes already uploaded — or a pending node would change the base's or
+// the target's content after the replaced position — the rename itself
+// carries the content and nothing is read or encoded. Otherwise the queue
+// substitution, version stamp and stats all happen here, at the same
+// sequence point a fully serial engine would make them; only the rsync
+// encode itself runs on the worker pool, against the base snapshot and the
+// replaced node's extents. The reserved node ships only after the pool joins
+// (Tick and Drain join before releasing batches), so an unfilled delta can
+// never upload.
+func (e *Engine) triggerRenameDelta(srcPath string, size int64, basePath, serverBase string) {
+	wn := e.q.StableWrite(srcPath, serverBase)
+	if wn == nil {
 		return
 	}
 	baseContent, err := e.backing.ReadFile(basePath)
 	if err != nil {
 		return
 	}
-	e.meter.DiskIO(int64(len(newContent)) + int64(len(baseContent)))
+	e.meter.DiskIO(int64(len(baseContent)))
+	target, err := e.deltaTarget(srcPath, size, wn)
+	if err != nil {
+		return
+	}
 	node := &syncqueue.Node{
 		Kind:     syncqueue.KindDelta,
 		Path:     srcPath,
 		BasePath: serverBase,
 		At:       e.clk.Now(),
+		Ver:      e.counter.Next(),
 	}
-	node.Ver = e.counter.Next()
-	replaced := e.q.ReplaceWithDeltaIfBaseStable(srcPath, serverBase, node)
-	if replaced {
-		// The replacement chained node.Base onto the replaced write node's
-		// base; only a successful replacement may advance the version map.
-		// If the raw writes already uploaded — or a pending node would
-		// change the base's content at the replaced position — the rename
-		// itself carries the content and the delta is skipped.
-		e.vers.Set(srcPath, node.Ver)
-		e.stats.DeltaTriggers++
+	// The replacement chains node.Base onto the replaced write node's base.
+	if !e.q.ReplaceWithDeltaAt(wn, node, e.q.TailSeq()) {
+		return
 	}
-	// The serial path charges the meter for the encode even when the
-	// replacement fails, so the job runs either way.
+	e.vers.Set(srcPath, node.Ver)
+	e.stats.DeltaTriggers++
+	e.encodeInto(node, baseContent, target)
+}
+
+// deltaTarget returns path's current content (size bytes) as the segments a
+// delta encodes. When wn's extents tile [0, size) in order — the application
+// created the file and streamed it out, Table I's create-write-rename — the
+// intercepted writes already are the new version and nothing is read;
+// otherwise the file is read back as one segment.
+func (e *Engine) deltaTarget(path string, size int64, wn *syncqueue.Node) ([]syncqueue.Extent, error) {
+	if wn != nil && tiles(wn.Extents, size) {
+		return wn.Extents, nil
+	}
+	content, err := e.backing.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	e.meter.DiskIO(int64(len(content)))
+	return []syncqueue.Extent{{Data: content}}, nil
+}
+
+// tiles reports whether extents cover exactly [0, size), in order.
+func tiles(extents []syncqueue.Extent, size int64) bool {
+	var end int64
+	for _, x := range extents {
+		if x.Off != end {
+			return false
+		}
+		end += int64(len(x.Data))
+	}
+	return end == size
+}
+
+// encodeInto dispatches the local rsync of target against base to the worker
+// pool and fills the reserved delta node at the join. The job touches only
+// base and the target segments, both immutable by now.
+func (e *Engine) encodeInto(node *syncqueue.Node, base []byte, target []syncqueue.Extent) {
 	bs, meter := e.cfg.BlockSize, e.meter
 	var d *rsync.Delta
-	e.pool.dispatch(srcPath,
-		func() { d = rsync.DeltaLocal(baseContent, newContent, bs, meter) },
+	e.pool.dispatch(node.Path,
 		func() {
-			if replaced {
-				e.q.FillDelta(node, d)
-			} else {
-				d.Release()
+			s := rsync.NewLocalScanner(base, bs, meter)
+			for _, x := range target {
+				s.Write(x.Data)
 			}
-		})
+			d = s.Finish()
+		},
+		func() { e.q.FillDelta(node, d) })
 }
 
 // Link implements vfs.FS. Links need no relation entry (§III-A): the
@@ -662,14 +701,20 @@ func (e *Engine) Unlink(path string) error {
 	return nil
 }
 
+// ensureStateDir creates the engine's private directories (trash, staging)
+// in the backing store on first use.
+func (e *Engine) ensureStateDir() {
+	if !e.stateDirReady {
+		_ = e.backing.Mkdir(".deltacfs")
+		_ = e.backing.Mkdir(TrashDir)
+		e.stateDirReady = true
+	}
+}
+
 // preserveInTrash moves path into the trash directory, returning the trash
 // name.
 func (e *Engine) preserveInTrash(path string) (string, error) {
-	if !e.trashReady {
-		_ = e.backing.Mkdir(".deltacfs")
-		_ = e.backing.Mkdir(TrashDir)
-		e.trashReady = true
-	}
+	e.ensureStateDir()
 	e.trashSeq++
 	trash := fmt.Sprintf("%s/%d", TrashDir, e.trashSeq)
 	if err := e.backing.Rename(path, trash); err != nil {

@@ -37,7 +37,7 @@ func (e *Engine) recoverFromCloud(path string) error {
 	if !rep.Exists {
 		return fmt.Errorf("core: recover %s: cloud has no copy", path)
 	}
-	if err := e.replaceLocal(path, rep.Content); err != nil {
+	if err := e.installContent(path, rep.Content); err != nil {
 		return err
 	}
 	if err := e.integ.SetFile(path, rep.Content); err != nil {

@@ -109,7 +109,11 @@ func (e *Engine) resolvePendingDelta(path string, pd pendingBase) {
 		return
 	}
 
-	newContent, err := e.backing.ReadFile(path)
+	// Everything above decided from the queue alone; only now is anything
+	// read. The target is the write node about to be replaced when its
+	// extents are the whole file (a validPair has none: the file was
+	// re-created and never written).
+	st, err := e.backing.Stat(path)
 	if err != nil {
 		return
 	}
@@ -117,7 +121,11 @@ func (e *Engine) resolvePendingDelta(path string, pd pendingBase) {
 	if err != nil {
 		return
 	}
-	e.meter.DiskIO(int64(len(newContent)) + int64(len(baseContent)))
+	e.meter.DiskIO(int64(len(baseContent)))
+	target, err := e.deltaTarget(path, st.Size, e.q.LatestPendingWrite(path))
+	if err != nil {
+		return
+	}
 
 	// The unlink must still be queued, or the cloud has already deleted
 	// the file and a delta against it cannot apply.
@@ -126,12 +134,12 @@ func (e *Engine) resolvePendingDelta(path string, pd pendingBase) {
 	}
 	// Without the create node the cloud never truncates the file, so the
 	// delta (whose target is the full new content) lands on the old
-	// version — exactly what DeltaLocal encodes against.
+	// version — exactly what the local rsync encodes against.
 	if !e.q.RemoveRecent(path, syncqueue.KindCreate) {
 		return // unlink removed alone is still correct: create+write follow raw
 	}
 	// Reserve the delta's queue position and version now; encode on the
-	// pool against the snapshots read above and fill the node at join time,
+	// pool against the snapshots taken above and fill the node at join time,
 	// which Tick/Drain force before any upload.
 	node := &syncqueue.Node{
 		Kind: syncqueue.KindDelta,
@@ -150,11 +158,7 @@ func (e *Engine) resolvePendingDelta(path string, pd pendingBase) {
 	node.Base = pd.baseVer
 	e.vers.Set(path, node.Ver)
 	e.stats.DeltaTriggers++
-	bs, meter := e.cfg.BlockSize, e.meter
-	var d *rsync.Delta
-	e.pool.dispatch(path,
-		func() { d = rsync.DeltaLocal(baseContent, newContent, bs, meter) },
-		func() { e.q.FillDelta(node, d) })
+	e.encodeInto(node, baseContent, target)
 }
 
 // maybeInPlaceDelta applies the §III-A extension: when an in-place update
@@ -313,10 +317,8 @@ func (e *Engine) applyRemoteNode(n *wire.Node) error {
 		e.stats.RemoteConflicts++
 		name := fmt.Sprintf("%s.conflict-%d-%d", n.Path, n.Ver.Client, n.Ver.Count)
 		e.conflictFiles = append(e.conflictFiles, name)
-		if content, err := e.remoteContent(n); err == nil && content != nil {
-			_ = e.backing.Create(name)
-			_ = e.backing.WriteAt(name, 0, content)
-		}
+		// Best effort: the conflict is recorded either way.
+		_ = e.installRemote(n, name)
 		return nil
 	}
 	switch n.Kind {
@@ -363,11 +365,7 @@ func (e *Engine) applyRemoteNode(n *wire.Node) error {
 		e.stats.RemoteApplied++
 		return nil
 	case wire.NDelta, wire.NFull:
-		content, err := e.remoteContent(n)
-		if err != nil {
-			return err
-		}
-		if err := e.replaceLocal(n.Path, content); err != nil {
+		if err := e.installRemote(n, n.Path); err != nil {
 			return err
 		}
 	default:
@@ -386,50 +384,121 @@ func (e *Engine) applyRemoteNode(n *wire.Node) error {
 	return nil
 }
 
-// remoteContent materializes the content a forwarded node produces.
-func (e *Engine) remoteContent(n *wire.Node) ([]byte, error) {
+// stagePath is where a whole-file replacement is assembled before it is
+// renamed onto its path. One name is enough: the engine applies one node at
+// a time, and a file left behind by a client that died is truncated by the
+// next Create.
+const stagePath = ".deltacfs/stage"
+
+// copyWindow bounds one base read of a streamed copy: vfs.FS.ReadAt returns a
+// fresh slice, so this is the most a copy op holds in memory at a time.
+const copyWindow = 1 << 20
+
+// install makes path hold what fill writes into the (empty) staging file:
+// fill runs against stagePath, which is then renamed onto path. A reader —
+// or a client that dies mid-apply — finds the whole old file or the whole
+// new one, never a truncated or half-written one; if fill fails the staging
+// file is removed and path is untouched. The rename gives path a new inode:
+// other hard links to the old one keep the old content, as they do on the
+// server, whose file bodies are per path.
+func (e *Engine) install(path string, fill func() error) error {
+	e.ensureStateDir()
+	if err := e.backing.Create(stagePath); err != nil {
+		return err
+	}
+	if err := fill(); err != nil {
+		_ = e.backing.Unlink(stagePath)
+		return err
+	}
+	return e.backing.Rename(stagePath, path)
+}
+
+// installContent replaces path's content with content.
+func (e *Engine) installContent(path string, content []byte) error {
+	return e.install(path, func() error { return e.backing.WriteAt(stagePath, 0, content) })
+}
+
+// installRemote makes dst hold the content forwarded node n produces — n.Path
+// itself when n applies, a conflict copy when it does not. Nodes that carry
+// no content produce no file.
+func (e *Engine) installRemote(n *wire.Node, dst string) error {
 	switch n.Kind {
 	case wire.NFull:
-		return n.Full, nil
+		return e.installContent(dst, n.Full)
 	case wire.NDelta:
 		basePath := n.BasePath
 		if basePath == "" {
 			basePath = n.Path
 		}
-		base, err := e.backing.ReadFile(basePath)
-		if err != nil {
-			base = nil
+		var baseLen int64 // a missing base is an empty one
+		if st, err := e.backing.Stat(basePath); err == nil {
+			baseLen = st.Size
 		}
-		return rsync.Patch(base, n.Delta, e.meter)
+		// Exactly rsync.Patch's accept/reject, before anything is staged.
+		if err := n.Delta.Check(baseLen); err != nil {
+			return err
+		}
+		return e.install(dst, func() error { return e.stageDelta(basePath, n.Delta) })
 	case wire.NWrite:
-		base, err := e.backing.ReadFile(n.Path)
-		if err != nil {
-			base = nil
-		}
-		buf := append([]byte(nil), base...)
-		for _, ext := range n.Extents {
-			if ext.Off < 0 {
-				return nil, fmt.Errorf("core: %s: negative extent offset %d", n.Path, ext.Off)
+		return e.install(dst, func() error {
+			if st, err := e.backing.Stat(n.Path); err == nil {
+				if err := e.stageCopy(0, n.Path, 0, st.Size); err != nil {
+					return err
+				}
 			}
-			if end := ext.Off + int64(len(ext.Data)); end > int64(len(buf)) {
-				grown := make([]byte, end)
-				copy(grown, buf)
-				buf = grown
+			for _, ext := range n.Extents {
+				if err := e.backing.WriteAt(stagePath, ext.Off, ext.Data); err != nil {
+					return err
+				}
 			}
-			copy(buf[ext.Off:], ext.Data)
-		}
-		return buf, nil
+			return nil
+		})
 	}
-	return nil, nil
+	return nil
 }
 
-// replaceLocal overwrites path's full content in the backing store.
-func (e *Engine) replaceLocal(path string, content []byte) error {
-	if err := e.backing.Create(path); err != nil {
+// stageDelta streams d's target into the staging file: literals are written
+// straight from the decoded frame, copies are read from basePath a window at
+// a time — the base and the target are never whole in memory. d has passed
+// Check against basePath's size. The meter is charged as rsync.Patch would.
+func (e *Engine) stageDelta(basePath string, d *rsync.Delta) error {
+	// Size the file once: backings that grow by copying then never regrow.
+	if err := e.backing.Truncate(stagePath, d.TargetLen); err != nil {
 		return err
 	}
-	if len(content) == 0 {
-		return nil
+	var at int64
+	for _, op := range d.Ops {
+		if op.Kind == rsync.OpCopy {
+			if err := e.stageCopy(at, basePath, op.Off, op.Len); err != nil {
+				return err
+			}
+			at += op.Len
+			continue
+		}
+		if err := e.backing.WriteAt(stagePath, at, op.Data); err != nil {
+			return err
+		}
+		at += int64(len(op.Data))
 	}
-	return e.backing.WriteAt(path, 0, content)
+	e.meter.Copy(d.TargetLen)
+	return nil
+}
+
+// stageCopy copies src[off, off+n) to offset at of the staging file.
+func (e *Engine) stageCopy(at int64, src string, off, n int64) error {
+	for n > 0 {
+		w := min(n, copyWindow)
+		data, err := e.backing.ReadAt(src, off, w)
+		if err != nil {
+			return err
+		}
+		if int64(len(data)) != w {
+			return fmt.Errorf("core: %s: short read at %d: %d of %d bytes", src, off, len(data), w)
+		}
+		if err := e.backing.WriteAt(stagePath, at, data); err != nil {
+			return err
+		}
+		at, off, n = at+w, off+w, n-w
+	}
+	return nil
 }

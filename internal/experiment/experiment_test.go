@@ -2,6 +2,9 @@ package experiment
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -13,11 +16,49 @@ import (
 // hold at every scale (verified at 1.0 by the benchmark harness).
 const smokeScale = 0.1
 
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from this run")
+
+// checkGolden is the drift gate on the paper tables: ticks and traffic are
+// deterministic, so a rendered table that differs from its golden file is a
+// change of behaviour. It arrives as a diff of the golden file, made with
+// `go test ./internal/experiment -update` and reviewed like code.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name+".golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if got != string(want) {
+		t.Errorf("%s drifted from %s (if intended, rerun with -update and review the diff):\n--- got ---\n%s--- want ---\n%s",
+			name, path, got, want)
+	}
+}
+
+// renderMatrix prints the three projections of the matrix.
+func renderMatrix(m *Matrix) string {
+	var buf bytes.Buffer
+	m.PrintTable2(&buf)
+	m.PrintFig8(&buf)
+	m.PrintFig9(&buf)
+	return buf.String()
+}
+
 func TestMatrixShapes(t *testing.T) {
 	m, err := RunMatrix(smokeScale)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "matrix_scale0.1", renderMatrix(m))
 
 	get := func(sys System, tn string) *Result {
 		t.Helper()
@@ -210,9 +251,7 @@ func TestFig1AndFig2(t *testing.T) {
 		t.Errorf("Fig2 TUE = %.1f, want >> 1", f2.TUE)
 	}
 	PrintFig2(&buf, f2)
-	if buf.Len() == 0 {
-		t.Fatal("empty report")
-	}
+	checkGolden(t, "fig1_fig2_scale0.1", buf.String())
 }
 
 func TestTable3Shapes(t *testing.T) {
@@ -298,14 +337,6 @@ func TestRunTraceUnknownSystem(t *testing.T) {
 // independent, and slots are index-addressed, so fan-out must not change a
 // single byte of output.
 func TestMatrixParallelDeterministic(t *testing.T) {
-	render := func(m *Matrix) string {
-		var buf bytes.Buffer
-		m.PrintTable2(&buf)
-		m.PrintFig8(&buf)
-		m.PrintFig9(&buf)
-		return buf.String()
-	}
-
 	defer func(old int) { matrixWorkers = old }(matrixWorkers)
 
 	matrixWorkers = 1
@@ -319,7 +350,7 @@ func TestMatrixParallelDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if s, p := render(serial), render(parallel); s != p {
+	if s, p := renderMatrix(serial), renderMatrix(parallel); s != p {
 		t.Errorf("parallel sweep output differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s", s, p)
 	}
 }

@@ -66,7 +66,9 @@ func DeltaRemote(sig *Sig, target []byte, meter *metrics.CPUMeter) (*Delta, erro
 	if !sig.HasStrong {
 		return nil, errors.New("rsync: DeltaRemote requires a strong signature")
 	}
-	return computeDelta(sig, nil, target, meter), nil
+	s := newScanner(sig, meter)
+	s.Write(target)
+	return s.Finish(), nil
 }
 
 // DeltaLocal computes the delta from base to target with both files local,
@@ -74,121 +76,193 @@ func DeltaRemote(sig *Sig, target []byte, meter *metrics.CPUMeter) (*Delta, erro
 // built and candidate matches are verified by bitwise comparison instead of
 // MD5. This is the delta encoder DeltaCFS triggers on transactional updates.
 func DeltaLocal(base, target []byte, blockSize int, meter *metrics.CPUMeter) *Delta {
-	sig := WeakSignature(base, blockSize, meter)
-	d := computeDelta(sig, base, target, meter)
-	// The signature never escapes; recycle its block storage.
-	sig.Release()
-	return d
+	s := NewLocalScanner(base, blockSize, meter)
+	s.Write(target)
+	return s.Finish()
 }
 
-// deltaParallelMin is the target size, in bytes, below which the delta scan
-// always runs serially: sharding a sub-megabyte scan costs more in fan-out
-// and stitching than the scan itself. A variable so tests can force the
-// parallel scan on small inputs.
-var deltaParallelMin = 1 << 20
+// Scanner is the block-matching scan as a stream: the target arrives as a
+// sequence of segments (Write) and the delta is complete at Finish. The op
+// stream and the meter charges depend only on the concatenation of the
+// segments, never on where they were cut: a window that straddles a join is
+// scanned in a carry buffer of at most two blocks, and a position's pending
+// slide waits for the byte that decides whether it is charged.
+//
+// Literal bytes are copied into the delta as the scan passes them, so a
+// segment may be reused as soon as Write returns.
+type Scanner struct {
+	sig   *Sig
+	local bool   // verify bitwise against base, not by sig's strong checksums
+	base  []byte // local mode only
+	meter *metrics.CPUMeter
+	idx   map[uint32][]int
+	d     *Delta
 
-// computeDelta runs the block-matching scan, choosing the sharded scan for
-// large targets when workers are available. Both paths produce the identical
-// op stream and meter charges (see parallel.go for the argument).
-func computeDelta(sig *Sig, baseData, target []byte, meter *metrics.CPUMeter) *Delta {
-	if workers := workerCount(); workers > 1 && len(target) >= deltaParallelMin &&
-		len(target)-sig.BlockSize+1 >= 2*workers {
-		return computeDeltaParallel(sig, baseData, target, meter)
-	}
-	return computeDeltaSerial(sig, baseData, target, meter)
+	// carry holds the undecided bytes at the scan position between Writes:
+	// fewer than a block, or exactly one block whose window missed and
+	// waits for its next byte.
+	carry []byte
+	roll  block.Rolling
+	// have: roll covers the window at the scan position. missed: that
+	// window was tested and matched nothing, so the scan slides one byte
+	// as soon as the byte behind the window is known to exist.
+	have, missed bool
+	// next is the base block that follows the last match (block 0 before
+	// any match). Local mode compares the window against it before hashing
+	// anything: an unmoved or block-shifted run of the base then costs one
+	// bitwise comparison per block and no rolling checksum, and a run of
+	// duplicate base blocks (zeros, repeated pages) extends the current
+	// copy instead of restarting at the first duplicate.
+	next int
+
+	// Charges accumulate here and reach the meter once, in Finish: the
+	// meter is integer-linear, so one aggregate charge per category equals
+	// the many small ones.
+	rolled, verified int64
 }
 
-// computeDeltaSerial is the canonical single-goroutine scan. If baseData is
-// non-nil, matches are verified bitwise against it (local mode); otherwise
-// they are verified with strong checksums from sig (remote mode).
-func computeDeltaSerial(sig *Sig, baseData, target []byte, meter *metrics.CPUMeter) *Delta {
-	d := &Delta{
-		BlockSize: sig.BlockSize,
-		BaseLen:   sig.FileLen,
-		TargetLen: int64(len(target)),
-	}
-	bs := sig.BlockSize
-	idx := sig.index()
+// NewLocalScanner returns a scanner that encodes its input against base in
+// local mode; Finish releases the signature it builds here.
+func NewLocalScanner(base []byte, blockSize int, meter *metrics.CPUMeter) *Scanner {
+	s := newScanner(WeakSignature(base, blockSize, meter), meter)
+	s.local, s.base = true, base
+	return s
+}
 
-	var litStart int // start of the pending literal run
-	flushLiteral := func(end int) {
-		if end > litStart {
-			d.appendData(target[litStart:end])
-		}
+func newScanner(sig *Sig, meter *metrics.CPUMeter) *Scanner {
+	return &Scanner{
+		sig: sig, meter: meter, idx: sig.index(),
+		d: &Delta{BlockSize: sig.BlockSize, BaseLen: sig.FileLen},
 	}
+}
 
-	verify := func(blockIdx int, window []byte) bool {
-		if baseData != nil {
-			lo := blockIdx * bs
-			meter.Compare(int64(bs))
-			return bytes.Equal(window, baseData[lo:lo+bs])
+// Write scans the next segment of the target.
+func (s *Scanner) Write(seg []byte) {
+	s.d.TargetLen += int64(len(seg))
+	if k := len(s.carry); k > 0 {
+		// Scan the windows that start in the carried bytes; they reach at
+		// most one block into seg.
+		s.carry = append(s.carry, seg[:min(len(seg), s.sig.BlockSize)]...)
+		p := s.scan(s.carry, k)
+		if p < k { // seg was too short to clear the join
+			s.carry = s.carry[:copy(s.carry, s.carry[p:])]
+			return
 		}
-		meter.StrongHash(int64(bs))
-		return block.StrongSum(window) == sig.Blocks[blockIdx].Strong
+		s.carry = s.carry[:0]
+		seg = seg[p-k:]
 	}
+	p := s.scan(seg, len(seg))
+	s.carry = append(s.carry, seg[p:]...)
+}
 
-	pos := 0
-	var roll block.Rolling
-	haveWindow := false
-	for pos+bs <= len(target) {
-		if !haveWindow {
-			roll = block.NewRolling(target[pos : pos+bs])
-			meter.RollingHash(int64(bs))
-			haveWindow = true
-		}
-		matched := -1
-		if cands, ok := idx[roll.Sum()]; ok {
-			for _, c := range cands {
-				if verify(c, target[pos:pos+bs]) {
-					matched = c
-					break
-				}
+// scan advances over buf, whose first byte is at the scan position, deciding
+// every window that starts before limit and lies wholly inside buf. It
+// returns how many bytes it consumed as copies or literals.
+func (s *Scanner) scan(buf []byte, limit int) int {
+	bs := s.sig.BlockSize
+	p, lit := 0, 0
+	for {
+		if s.missed {
+			if p+bs >= len(buf) {
+				break // the slide needs the byte behind the window
 			}
+			s.roll.Roll(buf[p], buf[p+bs])
+			s.rolled++
+			s.missed = false
+			p++
 		}
-		if matched >= 0 {
-			flushLiteral(pos)
-			d.appendCopy(int64(matched)*int64(bs), int64(bs))
-			pos += bs
-			litStart = pos
-			haveWindow = false
+		if p >= limit || p+bs > len(buf) {
+			break
+		}
+		blk := s.match(buf[p : p+bs])
+		if blk < 0 {
+			s.missed = true
 			continue
 		}
-		// Slide the window one byte.
-		if pos+bs < len(target) {
-			roll.Roll(target[pos], target[pos+bs])
-			meter.RollingHash(1)
-		}
-		pos++
+		s.d.appendData(buf[lit:p])
+		s.d.appendCopy(int64(blk)*int64(bs), int64(bs))
+		p += bs
+		lit = p
+		s.have = false
+		s.next = blk + 1
 	}
+	s.d.appendData(buf[lit:p])
+	return p
+}
 
+// match returns the base block equal to window, or -1.
+func (s *Scanner) match(window []byte) int {
+	bs := len(window)
+	if !s.have {
+		if s.local && s.sig.blockLen(s.next) == bs {
+			s.verified += int64(bs)
+			if lo := s.next * bs; bytes.Equal(window, s.base[lo:lo+bs]) {
+				return s.next
+			}
+		}
+		s.roll = block.NewRolling(window)
+		s.rolled += int64(bs)
+		s.have = true
+	}
+	for _, c := range s.idx[s.roll.Sum()] {
+		s.verified += int64(bs)
+		if s.local {
+			if lo := c * bs; bytes.Equal(window, s.base[lo:lo+bs]) {
+				return c
+			}
+		} else if block.StrongSum(window) == s.sig.Blocks[c].Strong {
+			return c
+		}
+	}
+	return -1
+}
+
+// Finish ends the target, returns the delta and, in local mode, releases the
+// signature. The scanner must not be used afterwards.
+func (s *Scanner) Finish() *Delta {
+	// What is left is shorter than a block, or one block whose miss takes
+	// the end-of-file slide (never charged).
+	rest := s.carry
+	pos := 0
+	if s.missed {
+		pos = 1
+	}
 	// A short trailing block of the base can still match the final bytes of
 	// the target (rsync emits the last short block only at end of file).
-	if tail := sig.tailBlock(); tail >= 0 {
-		tl := sig.blockLen(tail)
-		start := len(target) - tl
-		if tl > 0 && start >= pos {
-			rem := target[start:]
+	if tail := s.sig.tailBlock(); tail >= 0 {
+		tl := s.sig.blockLen(tail)
+		if start := len(rest) - tl; tl > 0 && start >= pos {
+			rem := rest[start:]
 			ok := false
-			if baseData != nil {
-				lo := tail * bs
-				meter.Compare(int64(tl))
-				ok = bytes.Equal(rem, baseData[lo:lo+tl])
+			if s.local {
+				lo := tail * s.sig.BlockSize
+				s.verified += int64(tl)
+				ok = bytes.Equal(rem, s.base[lo:lo+tl])
 			} else {
-				meter.RollingHash(int64(tl))
-				if block.WeakSum(rem) == sig.Blocks[tail].Weak {
-					meter.StrongHash(int64(tl))
-					ok = block.StrongSum(rem) == sig.Blocks[tail].Strong
+				s.rolled += int64(tl)
+				if block.WeakSum(rem) == s.sig.Blocks[tail].Weak {
+					s.verified += int64(tl)
+					ok = block.StrongSum(rem) == s.sig.Blocks[tail].Strong
 				}
 			}
 			if ok {
-				flushLiteral(start)
-				d.appendCopy(int64(tail)*int64(bs), int64(tl))
-				litStart = len(target)
+				s.d.appendData(rest[:start])
+				s.d.appendCopy(int64(tail)*int64(s.sig.BlockSize), int64(tl))
+				rest = nil
 			}
 		}
 	}
-	flushLiteral(len(target))
-	return d
+	s.d.appendData(rest)
+
+	s.meter.RollingHash(s.rolled)
+	if s.local {
+		s.meter.Compare(s.verified)
+		// The signature never escaped; recycle its block storage.
+		s.sig.Release()
+	} else {
+		s.meter.StrongHash(s.verified)
+	}
+	return s.d
 }
 
 // appendCopy adds a copy op, coalescing with a contiguous preceding copy.
@@ -215,9 +289,13 @@ func getLitBuf() []byte {
 	return nil
 }
 
-// appendData adds a literal op, coalescing with a preceding literal. The
-// bytes are copied, so the caller's buffer may be reused.
+// appendData adds a literal op (nothing for an empty p), coalescing with a
+// preceding literal. The bytes are copied, so the caller's buffer may be
+// reused.
 func (d *Delta) appendData(p []byte) {
+	if len(p) == 0 {
+		return
+	}
 	if k := len(d.Ops); k > 0 {
 		last := &d.Ops[k-1]
 		if last.Kind == OpData {
@@ -247,59 +325,52 @@ func (d *Delta) Release() {
 	d.Ops = d.Ops[:0]
 }
 
-// maxPatchPrealloc caps how much memory Patch commits up front on the word
-// of a wire-decoded TargetLen. A hostile delta claiming a huge target gets a
-// bounded initial buffer and then has to actually send the ops to grow it;
-// the final equality check against TargetLen still runs on the real length.
-const maxPatchPrealloc = 1 << 26 // 64 MiB
-
-// checkCopy validates copy op i against a base of baseLen bytes.
-func (op Op) checkCopy(i int, baseLen int64) error {
-	if op.Off < 0 || op.Len < 0 || op.Off+op.Len > baseLen {
-		return fmt.Errorf("rsync: op %d copy [%d,%d) out of base range %d",
-			i, op.Off, op.Off+op.Len, baseLen)
+// Check validates d against a base of baseLen bytes without producing
+// anything: every copy range lies inside the base, every op kind is known,
+// and the ops produce exactly TargetLen bytes. It is the one accept/reject
+// rule of Patch, PatchPages and the client's streamed apply, which run it
+// before they write a byte — so a wire-decoded TargetLen sizes an allocation
+// only once the ops are known to fill it.
+func (d *Delta) Check(baseLen int64) error {
+	if d.TargetLen < 0 {
+		return fmt.Errorf("rsync: negative target length %d", d.TargetLen)
 	}
-	return nil
-}
-
-// checkLen validates the length a patch produced against d.TargetLen.
-func (d *Delta) checkLen(got int64) error {
+	var got int64
+	for i, op := range d.Ops {
+		switch op.Kind {
+		case OpCopy:
+			if op.Off < 0 || op.Len < 0 || op.Off+op.Len > baseLen {
+				return fmt.Errorf("rsync: op %d copy [%d,%d) out of base range %d",
+					i, op.Off, op.Off+op.Len, baseLen)
+			}
+			got += op.Len
+		case OpData:
+			got += int64(len(op.Data))
+		default:
+			return fmt.Errorf("rsync: op %d has unknown kind %d", i, op.Kind)
+		}
+	}
 	if got != d.TargetLen {
 		return fmt.Errorf("rsync: patched length %d != target length %d", got, d.TargetLen)
 	}
 	return nil
 }
 
-// Patch applies d to base and returns the reconstructed target. It validates
-// every copy range against the base and the final length against
-// d.TargetLen. The meter is charged for the bytes materialized.
+// Patch applies d to base and returns the reconstructed target, or Check's
+// error. The meter is charged for the bytes materialized.
 func Patch(base []byte, d *Delta, meter *metrics.CPUMeter) ([]byte, error) {
-	if d.TargetLen < 0 {
-		return nil, fmt.Errorf("rsync: negative target length %d", d.TargetLen)
-	}
-	prealloc := d.TargetLen
-	if prealloc > maxPatchPrealloc {
-		prealloc = maxPatchPrealloc
-	}
-	out := make([]byte, 0, prealloc)
-	for i, op := range d.Ops {
-		switch op.Kind {
-		case OpCopy:
-			if err := op.checkCopy(i, int64(len(base))); err != nil {
-				return nil, err
-			}
-			out = append(out, base[op.Off:op.Off+op.Len]...)
-			meter.Copy(op.Len)
-		case OpData:
-			out = append(out, op.Data...)
-			meter.Copy(int64(len(op.Data)))
-		default:
-			return nil, fmt.Errorf("rsync: op %d has unknown kind %d", i, op.Kind)
-		}
-	}
-	if err := d.checkLen(int64(len(out))); err != nil {
+	if err := d.Check(int64(len(base))); err != nil {
 		return nil, err
 	}
+	out := make([]byte, 0, d.TargetLen)
+	for _, op := range d.Ops {
+		if op.Kind == OpCopy {
+			out = append(out, base[op.Off:op.Off+op.Len]...)
+		} else {
+			out = append(out, op.Data...)
+		}
+	}
+	meter.Copy(d.TargetLen)
 	return out, nil
 }
 
@@ -307,28 +378,21 @@ func Patch(base []byte, d *Delta, meter *metrics.CPUMeter) ([]byte, error) {
 // reading copy ops straight out of base's pages. A copy that starts
 // page-aligned on both sides shares base's pages by pointer; every other
 // byte is written once, into dst's own pages, and charged to dst's meter.
-// It accepts and rejects exactly what Patch does. On error dst holds a
-// prefix of the target.
+// It accepts and rejects exactly what Patch does, leaving dst untouched on
+// error.
 func PatchPages(dst *extent.Builder, base extent.File, d *Delta) error {
-	if d.TargetLen < 0 {
-		return fmt.Errorf("rsync: negative target length %d", d.TargetLen)
+	if err := d.Check(base.Size()); err != nil {
+		return err
 	}
-	start := dst.Size()
-	dst.Reserve(start + d.TargetLen)
-	for i, op := range d.Ops {
-		switch op.Kind {
-		case OpCopy:
-			if err := op.checkCopy(i, base.Size()); err != nil {
-				return err
-			}
+	dst.Reserve(dst.Size() + d.TargetLen)
+	for _, op := range d.Ops {
+		if op.Kind == OpCopy {
 			dst.AppendFrom(base, op.Off, op.Len)
-		case OpData:
+		} else {
 			dst.WriteAt(op.Data, dst.Size())
-		default:
-			return fmt.Errorf("rsync: op %d has unknown kind %d", i, op.Kind)
 		}
 	}
-	return d.checkLen(dst.Size() - start)
+	return nil
 }
 
 // MarshalBinary serializes the delta in a compact length-prefixed format.

@@ -10,10 +10,10 @@
 //
 // All entry points charge a metrics.CPUMeter for the algorithmic work they
 // perform, so the evaluation harness can report deterministic CPU ticks.
-// The meter models the canonical serial algorithm: the parallel kernel
-// (signature sharding in this file, the sharded delta scan in parallel.go)
-// reports exactly the charges the serial path would, so evaluation numbers
-// are identical whichever path ran — only wall-clock time changes.
+// The meter models the serial algorithm: the signature, which shards its base
+// across workers, reports exactly the charges one pass would, so evaluation
+// numbers are identical whatever the worker count — only wall-clock time
+// changes. The delta scan itself is serial (Scanner, delta.go).
 package rsync
 
 import (
@@ -29,9 +29,9 @@ import (
 // default) means GOMAXPROCS. Set via SetWorkers.
 var kernelWorkers atomic.Int32
 
-// SetWorkers sets the number of concurrent shard workers the signature and
-// delta kernels may use. n <= 1 forces the serial path regardless of input
-// size; n == 0 restores the default (GOMAXPROCS). Safe to call concurrently,
+// SetWorkers sets the number of concurrent shard workers the signature kernel
+// may use. n <= 1 forces the serial path regardless of input size; n == 0
+// restores the default (GOMAXPROCS). Safe to call concurrently,
 // though it is intended for process setup and benchmarks.
 func SetWorkers(n int) {
 	if n < 0 {

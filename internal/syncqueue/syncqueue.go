@@ -177,10 +177,22 @@ func (q *Queue) Append(n *Node) {
 	q.append(n)
 }
 
+// mergeLimit bounds an extent grown by merging contiguous writes: a write
+// that would take the last extent past it starts a new extent. Merging keeps
+// a file streamed in small writes from shipping (and being applied) as
+// thousands of extents; the bound keeps a streamed file from being copied
+// again each time its one extent outgrows its buffer.
+const mergeLimit = 64 << 10
+
 // Write attaches a write to path's open write node, creating and appending
 // one if necessary, and returns the node. Attaching to a node that is no
 // longer at the tail is an out-of-FIFO-order operation and records a
 // backindex group from the node to the current tail.
+//
+// The payload is copied once. A write contiguous with the node's last extent
+// merges into it while the merged extent stays within mergeLimit; the second
+// write of such a run moves the extent into a mergeLimit buffer that the
+// rest of the run fills, so only a run's first write is copied twice.
 func (q *Queue) Write(path string, off int64, data []byte, now time.Duration) *Node {
 	n, ok := q.open[path]
 	if !ok {
@@ -190,18 +202,18 @@ func (q *Queue) Write(path string, off int64, data []byte, now time.Duration) *N
 	} else if n.Seq != q.tailSeq() {
 		q.addGroup(group{start: n.Seq, end: q.tailSeq()})
 	}
-	cp := append([]byte(nil), data...)
-	// Coalesce with the last extent when strictly contiguous (appends).
+	q.buffered += int64(len(data))
 	if k := len(n.Extents); k > 0 {
 		last := &n.Extents[k-1]
-		if last.Off+int64(len(last.Data)) == off {
-			last.Data = append(last.Data, cp...)
-			q.buffered += int64(len(cp))
+		if merged := len(last.Data) + len(data); last.Off+int64(len(last.Data)) == off && merged <= mergeLimit {
+			if merged > cap(last.Data) {
+				last.Data = append(make([]byte, 0, mergeLimit), last.Data...)
+			}
+			last.Data = append(last.Data, data...)
 			return n
 		}
 	}
-	n.Extents = append(n.Extents, Extent{Off: off, Data: cp})
-	q.buffered += int64(len(cp))
+	n.Extents = append(n.Extents, Extent{Off: off, Data: append([]byte(nil), data...)})
 	return n
 }
 
@@ -560,38 +572,26 @@ func (q *Queue) PendingKinds(path string) []Kind {
 	return out
 }
 
-// ReplaceWithDeltaIfBaseStable replaces path's most recent pending write
-// node with d only when no pending node newer than that write node modifies
-// basePath: an in-position delta is applied by the cloud at the replaced
-// node's position, so its base must hold the same content there that the
-// client read when encoding — a pending rename/write onto the base after
-// that position would break the invariant.
-func (q *Queue) ReplaceWithDeltaIfBaseStable(path, basePath string, d *Node) bool {
-	idx := -1
-	for i := len(q.nodes) - 1; i >= q.head; i-- {
-		n := q.nodes[i]
-		if n != nil && n.Kind == KindWrite && n.Path == path {
-			idx = i
-			break
+// StableWrite returns path's most recent pending write node if a delta
+// against basePath may take its place, nil if there is none or a pending node
+// newer than it modifies basePath or path: an in-position delta is applied by
+// the cloud at the replaced node's position, so its base must hold the same
+// content there that the client encodes against, and its target is the
+// content as of NOW — a later pending rename onto either name would be
+// overwritten out of order. The engine asks before it reads or encodes
+// anything, then substitutes with ReplaceWithDeltaAt; the node's extents are
+// immutable from that point (it has left the queue and the open table).
+func (q *Queue) StableWrite(path, basePath string) *Node {
+	w := q.LatestPendingWrite(path)
+	if w == nil {
+		return nil
+	}
+	for i := q.idx(w.Seq) + 1; i < len(q.nodes); i++ {
+		if n := q.nodes[i]; n != nil && (modifiesName(n, basePath) || modifiesName(n, path)) {
+			return nil
 		}
 	}
-	if idx == -1 {
-		return false
-	}
-	for i := idx + 1; i < len(q.nodes); i++ {
-		n := q.nodes[i]
-		if n == nil {
-			continue
-		}
-		// Neither the delta's base nor its target may be touched by a
-		// pending node newer than the replaced position: the delta encodes
-		// the target's content as read NOW, so a later pending rename onto
-		// the target (or base) would be overwritten out of order.
-		if modifiesName(n, basePath) || modifiesName(n, path) {
-			return false
-		}
-	}
-	return q.ReplaceWithDelta(path, d)
+	return w
 }
 
 // WritePayload returns the payload size of path's most recent pending write

@@ -382,13 +382,12 @@ func TestPendingKinds(t *testing.T) {
 	}
 }
 
-func TestReplaceWithDeltaIfBaseStable(t *testing.T) {
+func TestStableWrite(t *testing.T) {
 	// Base modified after the write node: refuse.
 	q := New(delay)
 	q.Write("tmp", 0, []byte("new"), 0)
 	q.Append(&Node{Kind: KindRename, Path: "doc", Dst: "base", At: 0})
-	d := &Node{Path: "tmp", Delta: &rsync.Delta{}, At: 0}
-	if q.ReplaceWithDeltaIfBaseStable("tmp", "base", d) {
+	if q.StableWrite("tmp", "base") != nil {
 		t.Fatal("replacement allowed despite pending base modification")
 	}
 
@@ -397,23 +396,30 @@ func TestReplaceWithDeltaIfBaseStable(t *testing.T) {
 	q2.Write("tmp", 0, []byte("new"), 0)
 	q2.Pack("tmp")
 	q2.Append(&Node{Kind: KindRename, Path: "x", Dst: "tmp", At: 0})
-	if q2.ReplaceWithDeltaIfBaseStable("tmp", "base", d) {
+	if q2.StableWrite("tmp", "base") != nil {
 		t.Fatal("replacement allowed despite pending target modification")
 	}
 
 	// Clean case: allow. A read-only mention of the base (link source)
-	// does not block.
+	// does not block. The node returned is the one the substitution lands
+	// on, and it keeps its extents: they are the delta's target.
 	q3 := New(delay)
 	q3.Append(&Node{Kind: KindRename, Path: "f", Dst: "base", At: 0}) // before: fine
-	q3.Write("tmp", 0, []byte("new"), 0)
+	w := q3.Write("tmp", 0, []byte("new"), 0)
 	q3.Append(&Node{Kind: KindLink, Path: "base", Dst: "backup", At: 0})
-	if !q3.ReplaceWithDeltaIfBaseStable("tmp", "base", &Node{Path: "tmp", Delta: &rsync.Delta{}}) {
+	if got := q3.StableWrite("tmp", "base"); got != w {
+		t.Fatalf("StableWrite = %v, want the write node", got)
+	}
+	d := &Node{Path: "tmp", Delta: &rsync.Delta{}}
+	if !q3.ReplaceWithDeltaAt(w, d, q3.TailSeq()) {
 		t.Fatal("replacement refused in the clean case")
+	}
+	if d.Seq != w.Seq || q3.HasOpen("tmp") || !bytes.Equal(w.Extents[0].Data, []byte("new")) {
+		t.Fatalf("after replacement: delta seq %d (write %d), open=%v, extents %+v", d.Seq, w.Seq, q3.HasOpen("tmp"), w.Extents)
 	}
 
 	// No write node at all: refuse.
-	q4 := New(delay)
-	if q4.ReplaceWithDeltaIfBaseStable("tmp", "base", d) {
+	if New(delay).StableWrite("tmp", "base") != nil {
 		t.Fatal("replacement without a write node")
 	}
 }
