@@ -316,6 +316,70 @@ func TestInPlaceSmallWritesStayRaw(t *testing.T) {
 	}
 }
 
+// An in-place rewrite that leaves a 1-byte change in most blocks of a file:
+// of every three 4 KiB blocks the application rewrites the first two, with
+// one changed byte in each, 200 bytes either side of their shared edge. A
+// block-granular delta ships every touched block — all of the rewritten
+// bytes, its op headers on top — so it lost to the raw writes and the update
+// went out as RPC. Byte extension ships the 201 bytes from one change to the
+// next: the delta wins, and the peer applies it to the same bytes.
+func TestInPlaceSparseByteChangesUseDelta(t *testing.T) {
+	const bs, size = 4096, 96 * 4096
+	old := randBytes(11, size)
+	next := append([]byte(nil), old...)
+	for lo := 0; lo < size; lo += 3 * bs {
+		next[lo+bs-100] ^= 0x5a
+		next[lo+bs+100] ^= 0x5a
+	}
+
+	srv := server.New(nil)
+	clk := &clock.Clock{}
+	traffic := &metrics.TrafficMeter{}
+	abk, bbk := vfs.NewMemFS(), vfs.NewMemFS()
+	a, err := New(Config{Backing: abk, Endpoint: server.NewLoopback(srv, nil, traffic), Clock: clk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := New(Config{Backing: bbk, Endpoint: server.NewLoopback(srv, nil, nil), Clock: clk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fs := range []vfs.FS{abk, bbk} {
+		if err := fs.WriteAt("db", 0, old); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv.SeedFile("db", old)
+
+	for lo := 0; lo < size; lo += 3 * bs {
+		if err := a.FS().WriteAt("db", int64(lo), next[lo:lo+2*bs]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := a.FS().Close("db"); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(time.Minute)
+	a.Tick(clk.Now())
+	if err := a.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	b.Tick(clk.Now())
+
+	if n := a.Stats().InPlaceDeltas; n != 1 {
+		t.Fatalf("InPlaceDeltas = %d, want 1: the raw writes shipped instead of the delta", n)
+	}
+	if up := traffic.Uploaded(); up > 16<<10 {
+		t.Fatalf("uploaded %d bytes for 64 changed bytes in %d rewritten", up, size/3*2)
+	}
+	if got, _ := srv.FileContent("db"); !bytes.Equal(got, next) {
+		t.Fatal("server does not hold the new version")
+	}
+	if got, err := bbk.ReadFile("db"); err != nil || !bytes.Equal(got, next) {
+		t.Fatalf("peer does not hold the new version (err=%v)", err)
+	}
+}
+
 func TestCausalOrderCreateDelete(t *testing.T) {
 	// create a, create b, create c, delete a — the queue must never let
 	// the server observe b without c when a's nodes are dropped.

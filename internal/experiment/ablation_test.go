@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -113,11 +114,67 @@ func TestAblationDeltaTriggersSaveTraffic(t *testing.T) {
 		t.Errorf("rpc-only %.2f MB vs adaptive %.2f MB: triggers save less than 4x",
 			rpcOnly.upMB, adaptive.upMB)
 	}
+	// With them a save ships about what the user changed: byte extension
+	// leaves op and node headers above the update, not whole 4 KiB blocks
+	// per 200-byte edit (7.55x at block granularity).
+	if r := adaptive.upMB / adaptive.updateMB; r > 1.5 {
+		t.Errorf("adaptive uploads %.2f MB for %.2f MB of update (%.2fx): want <= 1.5x",
+			adaptive.upMB, adaptive.updateMB, r)
+	}
+}
+
+// BenchmarkAblationBlockSize sweeps the local encoder's block size on the
+// Word trace. With byte extension an edit costs its own bytes at any block
+// size; what the block size still sets is how much of an edit's
+// neighbourhood the scan must pass over before the copy after it is found.
+func BenchmarkAblationBlockSize(b *testing.B) {
+	for _, bs := range ablationBlockSizes {
+		b.Run(fmt.Sprintf("%dKiB", bs>>10), func(b *testing.B) {
+			var r *variantResult
+			for i := 0; i < b.N; i++ {
+				var err error
+				r, err = runDeltaCFSVariant(trace.Word(trace.PaperWordConfig().Scaled(0.1)),
+					func(c *core.Config) { c.BlockSize = bs })
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(r.upMB, "upload-MB/op")
+			b.ReportMetric(r.upMB/r.updateMB, "upload/update")
+			b.ReportMetric(float64(r.ticks), "cpu-ticks/op")
+		})
+	}
+}
+
+var ablationBlockSizes = []int{1 << 10, 2 << 10, 4 << 10, 8 << 10}
+
+// Smaller blocks ship less — they resynchronise closer to an edit — but
+// every size from 1 to 8 KiB stays within 2x the update, and the client
+// ticks barely move: the default 4 KiB (which internal/integrity shares)
+// costs little against the best cell.
+func TestAblationBlockSizeTraffic(t *testing.T) {
+	prev := 0.0
+	for _, bs := range ablationBlockSizes {
+		r, err := runDeltaCFSVariant(trace.Word(trace.PaperWordConfig().Scaled(0.1)),
+			func(c *core.Config) { c.BlockSize = bs })
+		if err != nil {
+			t.Fatal(err)
+		}
+		ratio := r.upMB / r.updateMB
+		t.Logf("block %5d: upload %.3f MB = %.2fx the update, %d client ticks", bs, r.upMB, ratio, r.ticks)
+		if ratio > 2 {
+			t.Errorf("block %d: upload %.2fx the update, want <= 2x", bs, ratio)
+		}
+		if ratio < prev {
+			t.Errorf("block %d: upload %.2fx the update, below the smaller block's %.2fx", bs, ratio, prev)
+		}
+		prev = ratio
+	}
 }
 
 type variantResult struct {
-	upMB  float64
-	ticks int64
+	upMB, updateMB float64
+	ticks          int64
 }
 
 // runDeltaCFSVariant replays tr through a DeltaCFS engine with the given
@@ -167,8 +224,9 @@ func runDeltaCFSVariant(tr *trace.Trace, mutate func(*core.Config)) (*variantRes
 		return nil, err
 	}
 	return &variantResult{
-		upMB:  float64(traffic.Uploaded()) / (1 << 20),
-		ticks: meter.Ticks(),
+		upMB:     float64(traffic.Uploaded()) / (1 << 20),
+		updateMB: float64(tr.UpdateBytes) / (1 << 20),
+		ticks:    meter.Ticks(),
 	}, nil
 }
 

@@ -90,6 +90,12 @@ func DeltaLocal(base, target []byte, blockSize int, meter *metrics.CPUMeter) *De
 //
 // Literal bytes are copied into the delta as the scan passes them, so a
 // segment may be reused as soon as Write returns.
+//
+// In local mode every copy is then grown byte by byte beyond the block it
+// matched, backward and forward into the literals beside it (emitCopy,
+// emitData), so an edit costs its own bytes rather than whole blocks. The
+// growth happens as decided bytes are emitted: the scan tests the same
+// windows and charges the same bytes as without it.
 type Scanner struct {
 	sig   *Sig
 	local bool   // verify bitwise against base, not by sig's strong checksums
@@ -179,15 +185,63 @@ func (s *Scanner) scan(buf []byte, limit int) int {
 			s.missed = true
 			continue
 		}
-		s.d.appendData(buf[lit:p])
-		s.d.appendCopy(int64(blk)*int64(bs), int64(bs))
+		s.emitData(buf[lit:p])
+		s.emitCopy(int64(blk)*int64(bs), int64(bs))
 		p += bs
 		lit = p
 		s.have = false
 		s.next = blk + 1
 	}
-	s.d.appendData(buf[lit:p])
+	s.emitData(buf[lit:p])
 	return p
+}
+
+// emitData appends literal bytes the scan has decided. In local mode their
+// leading bytes first grow the copy they follow while they continue its base
+// run (forward extension); a run that reaches the end of p stays open for the
+// next call, so the result does not depend on where the target was cut.
+func (s *Scanner) emitData(p []byte) {
+	if k := len(s.d.Ops); s.local && k > 0 && s.d.Ops[k-1].Kind == OpCopy {
+		last := &s.d.Ops[k-1]
+		run := s.base[last.Off+last.Len:]
+		n := 0
+		for n < len(p) && n < len(run) && p[n] == run[n] {
+			n++
+		}
+		s.verified += int64(n)
+		if n < len(p) && n < len(run) {
+			s.verified++ // the byte that broke the run
+		}
+		last.Len += int64(n)
+		p = p[n:]
+	}
+	s.d.appendData(p)
+}
+
+// emitCopy appends a copy of base[off:off+n]. In local mode the copy first
+// grows back into the tail of the pending literal while those bytes equal the
+// base bytes before off (backward extension); a literal it empties is dropped
+// and the copies around it coalesce when contiguous.
+func (s *Scanner) emitCopy(off, n int64) {
+	if k := len(s.d.Ops); s.local && k > 0 && s.d.Ops[k-1].Kind == OpData {
+		lit := s.d.Ops[k-1].Data
+		g := 0
+		for g < len(lit) && int64(g) < off && lit[len(lit)-1-g] == s.base[off-1-int64(g)] {
+			g++
+		}
+		s.verified += int64(g)
+		if g < len(lit) && int64(g) < off {
+			s.verified++
+		}
+		off, n = off-int64(g), n+int64(g)
+		if g == len(lit) {
+			litPool.Put(lit[:0])
+			s.d.Ops = s.d.Ops[:k-1]
+		} else {
+			s.d.Ops[k-1].Data = lit[:len(lit)-g]
+		}
+	}
+	s.d.appendCopy(off, n)
 }
 
 // match returns the base block equal to window, or -1.
@@ -246,13 +300,13 @@ func (s *Scanner) Finish() *Delta {
 				}
 			}
 			if ok {
-				s.d.appendData(rest[:start])
-				s.d.appendCopy(int64(tail)*int64(s.sig.BlockSize), int64(tl))
+				s.emitData(rest[:start])
+				s.emitCopy(int64(tail)*int64(s.sig.BlockSize), int64(tl))
 				rest = nil
 			}
 		}
 	}
-	s.d.appendData(rest)
+	s.emitData(rest)
 
 	s.meter.RollingHash(s.rolled)
 	if s.local {

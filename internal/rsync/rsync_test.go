@@ -199,8 +199,10 @@ func TestDeltaLocalMatchesRemoteOutput(t *testing.T) {
 	if !bytes.Equal(gr, target) || !bytes.Equal(gl, target) {
 		t.Fatal("remote/local patches mismatched target")
 	}
-	if local.LiteralBytes() != remote.LiteralBytes() {
-		t.Fatalf("local literal %d != remote literal %d",
+	// Remote mode ships the two 4 KiB blocks the edit touches; local mode
+	// grows the copies around it up to the edit itself.
+	if local.LiteralBytes() > remote.LiteralBytes() {
+		t.Fatalf("local literal %d > remote literal %d",
 			local.LiteralBytes(), remote.LiteralBytes())
 	}
 }

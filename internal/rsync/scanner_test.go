@@ -106,8 +106,8 @@ func computeDeltaSerial(sig *Sig, baseData, target []byte, meter *metrics.CPUMet
 }
 
 // reference runs the whole-slice scan the streaming Scanner replaced. It is
-// the specification of the op stream wherever no two full base blocks are
-// equal, and of the remote mode's meter charges everywhere.
+// the specification of remote mode's op stream and meter charges, and the
+// bound local mode's literal bytes, op count and charges must stay within.
 func reference(base, target []byte, bs int, remote bool) (*Delta, *metrics.CPUMeter) {
 	meter := metrics.NewCPUMeter(metrics.PC)
 	if remote {
@@ -180,55 +180,62 @@ func segmentations(rng *rand.Rand, n, bs int) [][]int {
 	return out
 }
 
-// hasDuplicateBlocks reports whether two full blocks of base are equal.
-func hasDuplicateBlocks(base []byte, bs int) bool {
-	seen := map[string]bool{}
-	for lo := 0; lo+bs <= len(base); lo += bs {
-		k := string(base[lo : lo+bs])
-		if seen[k] {
-			return true
-		}
-		seen[k] = true
-	}
-	return false
-}
-
 func sameDelta(a, b *Delta) bool {
 	return a.BlockSize == b.BlockSize && a.BaseLen == b.BaseLen && a.TargetLen == b.TargetLen &&
 		len(a.Ops) == len(b.Ops) && (len(a.Ops) == 0 || reflect.DeepEqual(a.Ops, b.Ops))
 }
 
+// literalOps returns how many of d's ops are literals.
+func literalOps(d *Delta) int64 {
+	var n int64
+	for _, op := range d.Ops {
+		if op.Kind == OpData {
+			n++
+		}
+	}
+	return n
+}
+
 // checkScanner is the scanner's contract for one base/target pair.
 //
-// Every segmentation yields the same ops and the same meter charges. Remote
-// mode is the reference exactly, ops and ticks. Local mode patches to the
-// target with no more ops than the reference, and with the reference's very
-// op stream unless the base holds duplicate blocks (the one place where the
-// adjacency-first rule may pick a different, contiguous, equal block).
+// Every segmentation yields the same ops and the same meter charges, and the
+// delta patches to the target. Remote mode is the reference exactly, ops and
+// ticks. Local mode ships no more literal bytes and no more ops than the
+// reference: the adjacency-first rule may name a different, contiguous,
+// equal base block, and byte extension grows copies into the literals.
 func checkScanner(t testing.TB, rng *rand.Rand, base, target []byte, bs int) {
 	t.Helper()
 	for _, remote := range []bool{false, true} {
 		ref, refMeter := reference(base, target, bs, remote)
 		whole, wholeMeter := scanSegments(base, target, bs, remote, nil)
-		if remote && !reflect.DeepEqual(wholeMeter.Breakdown(), refMeter.Breakdown()) {
-			t.Fatalf("remote charges differ from the reference:\n got %v\nwant %v",
-				wholeMeter.Breakdown(), refMeter.Breakdown())
-		}
-		if remote || !hasDuplicateBlocks(base, bs) {
-			if !sameDelta(whole, ref) {
-				t.Fatalf("remote=%v bs=%d base=%d target=%d: ops differ from the reference (%d vs %d ops)",
-					remote, bs, len(base), len(target), len(whole.Ops), len(ref.Ops))
-			}
+		if got, err := Patch(base, whole, nil); err != nil || !bytes.Equal(got, target) {
+			t.Fatalf("remote=%v: patch: err=%v, equal=%v", remote, err, bytes.Equal(got, target))
 		}
 		if len(whole.Ops) > len(ref.Ops) {
 			t.Fatalf("remote=%v: %d ops, reference has %d", remote, len(whole.Ops), len(ref.Ops))
 		}
-		if got, err := Patch(base, whole, nil); err != nil || !bytes.Equal(got, target) {
-			t.Fatalf("remote=%v: patch: err=%v, equal=%v", remote, err, bytes.Equal(got, target))
-		}
-		if !remote && wholeMeter.NanoTicks() > refMeter.NanoTicks()+int64(len(whole.Ops)+1)*int64(bs)*metrics.CostCompare {
-			// The rule may lose one comparison per broken run, no more.
-			t.Fatalf("local ticks %d, reference %d", wholeMeter.NanoTicks(), refMeter.NanoTicks())
+		if remote {
+			if !sameDelta(whole, ref) {
+				t.Fatalf("remote bs=%d base=%d target=%d: ops differ from the reference (%d vs %d ops)",
+					bs, len(base), len(target), len(whole.Ops), len(ref.Ops))
+			}
+			if !reflect.DeepEqual(wholeMeter.Breakdown(), refMeter.Breakdown()) {
+				t.Fatalf("remote charges differ from the reference:\n got %v\nwant %v",
+					wholeMeter.Breakdown(), refMeter.Breakdown())
+			}
+		} else {
+			if whole.LiteralBytes() > ref.LiteralBytes() {
+				t.Fatalf("local bs=%d base=%d target=%d: %d literal bytes, reference has %d",
+					bs, len(base), len(target), whole.LiteralBytes(), ref.LiteralBytes())
+			}
+			// The adjacency-first rule may lose one block comparison per
+			// broken run; byte extension examines each reference literal byte
+			// at most once, plus the byte that stops it on either side.
+			extra := int64(len(ref.Ops)+1)*int64(bs) + ref.LiteralBytes() + 2*literalOps(ref)
+			if wholeMeter.NanoTicks() > refMeter.NanoTicks()+extra*metrics.CostCompare {
+				t.Fatalf("local ticks %d, reference %d, allowance %d",
+					wholeMeter.NanoTicks(), refMeter.NanoTicks(), extra*metrics.CostCompare)
+			}
 		}
 		for _, cuts := range segmentations(rng, len(target), bs) {
 			d, m := scanSegments(base, target, bs, remote, cuts)
@@ -360,6 +367,83 @@ func TestScannerAdjacentRunNeedsNoRollingHash(t *testing.T) {
 	}
 	if b["compare_bytes"] != int64(len(base)) {
 		t.Fatalf("compare_bytes = %d, want %d", b["compare_bytes"], len(base))
+	}
+}
+
+// spacedEdits returns a random base and a target that differs from it by k
+// in-place edits of m bytes and one insertion of g bytes. Edits and a
+// mid-file insertion are at least two blocks from each other and from either
+// end; insAt 0 or 1 instead puts the insertion at the start or the end of
+// the file. Every edit and the insertion differ from the base bytes at both
+// of their edges, so no byte of them continues a neighbouring copy.
+func spacedEdits(rng *rand.Rand, bs, k, m, g, insAt int) (base, target []byte) {
+	gap := func() int { return 2*bs + rng.Intn(bs) }
+	var edits []int
+	ins := -1
+	cur := gap()
+	for _, slot := range rng.Perm(k + 1) {
+		if slot == k {
+			ins = cur
+			cur += gap()
+			continue
+		}
+		edits = append(edits, cur)
+		cur += m + gap()
+	}
+	base = make([]byte, cur+rng.Intn(bs)) // a short tail block, sometimes
+	rng.Read(base)
+	switch insAt {
+	case 0:
+		ins = 0
+	case 1:
+		ins = len(base)
+	}
+
+	// differ picks a byte other than base[i] (any byte past either end).
+	differ := func(b byte, i int) byte {
+		if i >= 0 && i < len(base) && b == base[i] {
+			return b ^ byte(1+rng.Intn(255))
+		}
+		return b
+	}
+	edited := append([]byte(nil), base...)
+	for _, e := range edits {
+		rng.Read(edited[e : e+m])
+		edited[e] = differ(edited[e], e)
+		edited[e+m-1] = differ(edited[e+m-1], e+m-1)
+	}
+	insert := make([]byte, g)
+	rng.Read(insert)
+	insert[0] = differ(insert[0], ins)
+	insert[g-1] = differ(insert[g-1], ins-1)
+	target = append(append(append([]byte(nil), edited[:ins]...), insert...), edited[ins:]...)
+	return base, target
+}
+
+// Byte extension makes the delta exactly as large as the edit: k edits of m
+// bytes and one insertion of g bytes ship k·m + g literal bytes, whatever the
+// alignment of the edits to the blocks and however the target is cut.
+func TestScannerLiteralIsTheEdit(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for _, bs := range []int{16, 4096} {
+		for _, c := range []struct{ k, m, g int }{
+			{1, 1, 1}, {3, 7, 40}, {8, 200, 24 << 10}, {2, bs + 3, 2*bs - 1}, {5, 2 * bs, bs},
+		} {
+			for insAt := 0; insAt < 3; insAt++ {
+				base, target := spacedEdits(rng, bs, c.k, c.m, c.g, insAt)
+				want := int64(c.k*c.m + c.g)
+				for _, cut := range segmentations(rng, len(target), bs) {
+					d, _ := scanSegments(base, target, bs, false, cut)
+					if got := d.LiteralBytes(); got != want {
+						t.Fatalf("bs=%d k=%d m=%d g=%d insAt=%d cuts=%d: %d literal bytes, want %d",
+							bs, c.k, c.m, c.g, insAt, len(cut), got, want)
+					}
+					if got := mustPatch(t, base, d); !bytes.Equal(got, target) {
+						t.Fatalf("bs=%d k=%d m=%d g=%d: patch mismatched", bs, c.k, c.m, c.g)
+					}
+				}
+			}
+		}
 	}
 }
 
