@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint bench bench-smoke bench-compare
+.PHONY: all build test race lint bench-smoke bench-compare
 
 all: build lint test
 
@@ -21,9 +21,6 @@ race:
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/deltavet ./...
-
-bench:
-	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
 
 # bench/ is a nested module the targets above skip: its own smoke test runs
 # every workload once at a small size and checks it against BENCHMARK.json.

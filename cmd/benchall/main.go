@@ -4,10 +4,8 @@
 //
 // Usage:
 //
-//	benchall [-scale 1.0] [-exp all|fig1|fig2|table2|fig8|fig9|table3|table4|chaos|crashstorm|scaling|loadsweep]
-//	         [-chaos-seeds 5] [-storm-seeds 5] [-clients 1,2,4,8,16] [-json report.json] [-allow-dirty]
-//	         [-load-clients 64,512,2048,10000] [-load-ops 40000] [-group-size 4]
-//	         [-commit-windows 0,1ms,5ms,20ms]
+//	benchall [-scale 1.0] [-exp all|fig1|fig2|table2|fig8|fig9|table3|table4|chaos|crashstorm]
+//	         [-chaos-seeds 5] [-storm-seeds 5] [-json report.json] [-allow-dirty]
 //	         [-cpuprofile cpu.pprof] [-mutexprofile mutex.pprof] [-blockprofile block.pprof]
 //
 // Scale 1.0 reproduces the paper's trace dimensions (a 131 MB SQLite file,
@@ -23,45 +21,17 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
-	"strings"
-	"time"
 
 	"repro/internal/experiment"
-	"repro/internal/loadgen"
-	"repro/internal/wire"
 )
 
-// loadWorkerArg re-invokes this binary as a loadsweep client worker: big
-// rungs split their client herd across subprocesses so the descriptor
-// budget fits (each loopback connection costs two fds in one process).
-const loadWorkerArg = "__loadworker"
-
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == loadWorkerArg {
-		if err := loadgen.WorkerMain(os.Stdin, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "benchall %s: %v\n", loadWorkerArg, err)
-			os.Exit(1)
-		}
-		return
-	}
 	scale := flag.Float64("scale", 1.0, "trace scale (1.0 = paper dimensions)")
-	exp := flag.String("exp", "all", "experiment: all|fig1|fig2|table2|fig8|fig9|table3|table4|chaos|crashstorm|scaling|loadsweep")
+	exp := flag.String("exp", "all", "experiment: all|fig1|fig2|table2|fig8|fig9|table3|table4|chaos|crashstorm")
 	iters := flag.Int("filebench-iters", 2000, "filebench iterations per personality")
 	chaosSeeds := flag.Int("chaos-seeds", 5, "chaos schedules per fault profile")
 	stormSeeds := flag.Int("storm-seeds", 5, "crash-storm seeds per storage fault profile")
 	allowDirty := flag.Bool("allow-dirty", false, "permit -json output from a dirty working tree")
-	clients := flag.String("clients", "1,2,4,8,16", "client counts for the -exp scaling throughput sweep")
-	scalingOps := flag.Int("scaling-ops", 1500, "pushes per client in the -exp scaling sweep")
-	loadClients := flag.String("load-clients", "64,512,2048,10000", "client counts for the -exp loadsweep TCP sweep")
-	loadOps := flag.Int("load-ops", 40000, "total pushes per loadsweep rung (split across clients)")
-	loadReps := flag.Int("load-reps", 2, "runs per loadsweep configuration (best kept; alternating order)")
-	groupSize := flag.Int("group-size", 4, "clients per sharing group in the loadsweep")
-	commitWindows := flag.String("commit-windows", "0,1ms,5ms,20ms",
-		"journal commit windows for the loadsweep durability sweep (empty = skip)")
-	codec := flag.String("codec", "auto", "wire codec for TCP experiments: auto|binary|gob")
-	codecCompare := flag.Bool("codec-compare", true,
-		"also drive each loadsweep rung with gob clients (the gob-vs-binary comparison)")
 	jsonPath := flag.String("json", "", "also write the assembled numbers as JSON to this path")
 	cpuProf := flag.String("cpuprofile", "", "write a CPU profile to this path")
 	mutexProf := flag.String("mutexprofile", "", "write a mutex-contention profile to this path")
@@ -75,10 +45,7 @@ func main() {
 	}
 	runErr := run(runOpts{
 		exp: *exp, scale: *scale, iters: *iters, chaosSeeds: *chaosSeeds, stormSeeds: *stormSeeds,
-		clients: *clients, scalingOps: *scalingOps,
-		loadClients: *loadClients, loadOps: *loadOps, loadReps: *loadReps, groupSize: *groupSize,
-		commitWindows: *commitWindows, jsonPath: *jsonPath, allowDirty: *allowDirty,
-		codec: *codec, codecCompare: *codecCompare,
+		jsonPath: *jsonPath, allowDirty: *allowDirty,
 	})
 	if err := stop(); err != nil {
 		fmt.Fprintf(os.Stderr, "benchall: %v\n", err)
@@ -139,101 +106,33 @@ func startProfiles(cpuPath, mutexPath, blockPath string) (func() error, error) {
 	}, nil
 }
 
-// parseClients parses the -clients list ("1,2,4,8,16").
-func parseClients(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n, err := strconv.Atoi(part)
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("invalid -clients entry %q", part)
-		}
-		out = append(out, n)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-clients is empty")
-	}
-	return out, nil
-}
-
 // runOpts carries the parsed flags into run.
 type runOpts struct {
-	exp           string
-	scale         float64
-	iters         int
-	chaosSeeds    int
-	stormSeeds    int
-	clients       string
-	scalingOps    int
-	loadClients   string
-	loadOps       int
-	loadReps      int
-	groupSize     int
-	commitWindows string
-	jsonPath      string
-	allowDirty    bool
-	codec         string
-	codecCompare  bool
-}
-
-// parseCodec maps the -codec flag to a wire.Codec, and names the codec the
-// run's clients will actually speak (auto negotiates binary against this
-// repo's own server).
-func parseCodec(s string) (wire.Codec, string, error) {
-	switch s {
-	case "auto", "":
-		return wire.CodecAuto, string(wire.CodecBinary), nil
-	case "binary":
-		return wire.CodecBinary, string(wire.CodecBinary), nil
-	case "gob":
-		return wire.CodecGob, string(wire.CodecGob), nil
-	default:
-		return wire.CodecAuto, "", fmt.Errorf("invalid -codec %q (want auto|binary|gob)", s)
-	}
-}
-
-// parseWindows parses the -commit-windows list ("0,1ms,5ms,20ms").
-func parseWindows(s string) ([]time.Duration, error) {
-	var out []time.Duration
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		if part == "0" {
-			out = append(out, 0)
-			continue
-		}
-		d, err := time.ParseDuration(part)
-		if err != nil || d < 0 {
-			return nil, fmt.Errorf("invalid -commit-windows entry %q", part)
-		}
-		out = append(out, d)
-	}
-	return out, nil
+	exp        string
+	scale      float64
+	iters      int
+	chaosSeeds int
+	stormSeeds int
+	jsonPath   string
+	allowDirty bool
 }
 
 func run(o runOpts) error {
-	exp, scale, iters, chaosSeeds := o.exp, o.scale, o.iters, o.chaosSeeds
-	clients, scalingOps, jsonPath := o.clients, o.scalingOps, o.jsonPath
+	exp, scale, iters, chaosSeeds, jsonPath := o.exp, o.scale, o.iters, o.chaosSeeds, o.jsonPath
+	switch exp {
+	case "all", "fig1", "fig2", "table2", "fig8", "fig9", "table3", "table4", "chaos", "crashstorm":
+	default:
+		return fmt.Errorf("unknown -exp %q", exp)
+	}
 	out := os.Stdout
 	needMatrix := exp == "all" || exp == "table2" || exp == "fig8" || exp == "fig9"
 	rep := &experiment.Report{Scale: scale}
 
-	wireCodec, codecName, err := parseCodec(o.codec)
-	if err != nil {
-		return err
-	}
-
-	// A committed BENCH_*.json claiming to be "commit X" while the tree had
-	// uncommitted edits is a corrupted trajectory point. Refuse up front —
-	// before any long experiment runs — unless the caller opts in.
+	// A report claiming to be "commit X" while the tree had uncommitted
+	// edits is not attributable to any revision. Refuse up front — before
+	// any long experiment runs — unless the caller opts in.
 	if jsonPath != "" {
 		rep.Meta = experiment.NewRunMeta()
-		rep.Meta.Codec = codecName
 		if rep.Meta.Dirty && !o.allowDirty {
 			return fmt.Errorf("-json refused: working tree is dirty, so the report would not be " +
 				"attributable to a commit; commit first or pass -allow-dirty")
@@ -328,65 +227,6 @@ func run(o runOpts) error {
 			return err
 		}
 	}
-	// The scaling sweep is likewise opt-in: it reports wall-clock throughput,
-	// which varies with machine and core count, so it would break the
-	// byte-diff determinism of the default output.
-	if exp == "scaling" {
-		counts, err := parseClients(clients)
-		if err != nil {
-			return err
-		}
-		rs, err := experiment.ScalingSweep(counts, scalingOps)
-		if err != nil {
-			return err
-		}
-		experiment.PrintScaling(out, rs)
-		fmt.Fprintln(out)
-		rep.Scaling = rs
-	}
-	// The load sweep is opt-in for the same reason, and goes further: it
-	// drives real loopback TCP connections through the bounded transport,
-	// striped applied log vs the 1-stripe baseline, plus the journal
-	// commit-window sweep. A rung that fails to converge or sees client
-	// errors fails the run; throughput itself is reported, never asserted.
-	if exp == "loadsweep" {
-		counts, err := parseClients(o.loadClients)
-		if err != nil {
-			return err
-		}
-		workerCmd := []string{selfExe(), loadWorkerArg}
-		rs, err := experiment.LoadSweep(experiment.LoadSweepConfig{
-			ClientCounts:  counts,
-			TotalOps:      o.loadOps,
-			GroupSize:     o.groupSize,
-			WorkerCmd:     workerCmd,
-			Repeat:        o.loadReps,
-			Codec:         wireCodec,
-			CompareCodecs: o.codecCompare,
-		})
-		if err != nil {
-			return err
-		}
-		experiment.PrintLoad(out, rs)
-		fmt.Fprintln(out)
-		rep.Load = rs
-		windows, err := parseWindows(o.commitWindows)
-		if err != nil {
-			return err
-		}
-		if len(windows) > 0 {
-			cw, err := experiment.CommitWindowSweep(windows, 64, 6400, workerCmd)
-			if err != nil {
-				return err
-			}
-			experiment.PrintCommitWindows(out, cw)
-			fmt.Fprintln(out)
-			rep.CommitWindows = cw
-		}
-		if err := experiment.CheckLoad(rs); err != nil {
-			return err
-		}
-	}
 	if jsonPath != "" {
 		if err := rep.WriteFile(jsonPath); err != nil {
 			return fmt.Errorf("writing %s: %w", jsonPath, err)
@@ -394,12 +234,4 @@ func run(o runOpts) error {
 		fmt.Fprintf(out, "wrote JSON report to %s\n", jsonPath)
 	}
 	return nil
-}
-
-// selfExe is the path workers are spawned from: the running binary itself.
-func selfExe() string {
-	if exe, err := os.Executable(); err == nil {
-		return exe
-	}
-	return os.Args[0]
 }

@@ -43,20 +43,7 @@ import (
 func main() {
 	addr := flag.String("addr", "localhost:7420", "server address")
 	dir := flag.String("dir", "./deltacfs-sandbox", "local sync directory")
-	codec := flag.String("codec", "auto", "wire codec: auto|binary|gob")
 	flag.Parse()
-
-	var wc wire.Codec
-	switch *codec {
-	case "auto":
-		wc = wire.CodecAuto
-	case "binary":
-		wc = wire.CodecBinary
-	case "gob":
-		wc = wire.CodecGob
-	default:
-		log.Fatalf("deltacfs-client: unknown -codec %q (want auto|binary|gob)", *codec)
-	}
 
 	backing, err := vfs.NewDirFS(*dir)
 	if err != nil {
@@ -64,7 +51,7 @@ func main() {
 	}
 	meter := metrics.NewCPUMeter(metrics.PC)
 	traffic := &metrics.TrafficMeter{}
-	ep, err := wire.DialWith(*addr, wire.DialOpts{Meter: meter, Traffic: traffic, Codec: wc})
+	ep, err := wire.Dial(*addr, nil, meter, traffic)
 	if err != nil {
 		log.Fatalf("deltacfs-client: %v", err)
 	}

@@ -15,7 +15,9 @@
 // and replayed over the snapshot at startup, so acknowledged pushes survive
 // a crash between snapshots. -commit-window tunes the journal's group
 // durability: pushes share one fsync per window (0 = fsync per push). The
-// default comes from the benchall commit-window sweep (BENCH_6.json).
+// default comes from the commit-window sweep recorded in EXPERIMENTS.md
+// ("Wall-clock sweeps before bench/"): 5ms cuts fsyncs by more than an order
+// of magnitude, and wider windows bought little more.
 // With -tls the server generates an in-memory self-signed certificate.
 package main
 
@@ -45,7 +47,6 @@ func main() {
 	commitWindow := flag.Duration("commit-window", kvstore.DefaultCommitWindow,
 		"journal group-commit window (0 = fsync per push)")
 	workers := flag.Int("workers", 0, "connection worker pool size (0 = auto)")
-	forceGob := flag.Bool("force-gob", false, "serve the legacy gob codec only (binary negotiation disabled)")
 	flag.Parse()
 
 	meter := metrics.NewCPUMeter(metrics.PC)
@@ -133,7 +134,7 @@ func main() {
 		}()
 	}
 
-	if err := wire.ServeWith(lis, srv, wire.ServeConfig{Workers: *workers, ForceGob: *forceGob}); err != nil {
+	if err := wire.ServeWith(lis, srv, wire.ServeConfig{Workers: *workers}); err != nil {
 		log.Fatalf("deltacfs-server: %v", err)
 	}
 }

@@ -96,11 +96,10 @@ var wiretaintScope = []string{
 }
 
 // leakcheckScope is where fds, tickers, and goroutines churn at scale: the
-// bounded transport, the load harness, the chaos harness, and the server. A
-// leak per accept multiplied by 10k clients is an fd-exhaustion outage.
+// bounded transport, the chaos harness, and the server. A leak per accept
+// multiplied by 10k clients is an fd-exhaustion outage.
 var leakcheckScope = []string{
 	"internal/wire",
-	"internal/loadgen",
 	"internal/chaos",
 	"internal/server",
 }

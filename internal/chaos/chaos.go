@@ -49,10 +49,6 @@ type Config struct {
 	Checksums bool
 	// DrainAttempts bounds post-heal drain retries (default 8).
 	DrainAttempts int
-	// ForceGob serves the faulty stack gob-only (the pre-binary-codec
-	// server): the auto-negotiating client must fall back and the whole
-	// fault matrix must converge identically on the legacy codec.
-	ForceGob bool
 }
 
 // Result reports one chaos run.
@@ -205,8 +201,7 @@ func Run(cfg Config) (*Result, error) {
 	srv := server.New(nil)
 	sm := &metrics.SyncMeter{}
 	srv.SetSyncMeter(sm)
-	go wire.ServeWith(tls.NewListener(plan.Listener(lis), serverConf), srv,
-		wire.ServeConfig{ForceGob: cfg.ForceGob})
+	go wire.Serve(tls.NewListener(plan.Listener(lis), serverConf), srv)
 
 	// Per-RPC attempts must outlast a partition hitting mid-exchange: every
 	// failed attempt consumes one partitioned op, plus headroom for the

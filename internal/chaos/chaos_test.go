@@ -67,46 +67,6 @@ func TestChaosMatrixConverges(t *testing.T) {
 	}
 }
 
-// TestChaosMatrixConvergesForcedGob reruns a slice of the fault matrix with
-// the server forced to the legacy gob codec: the auto-negotiating client
-// must fall back during its initial dial and every reconnect, and the whole
-// fault-tolerance story must hold on the fallback path too.
-func TestChaosMatrixConvergesForcedGob(t *testing.T) {
-	n := 8
-	if testing.Short() {
-		n = 2
-	}
-	for _, prof := range profiles {
-		prof := prof
-		t.Run(prof.name, func(t *testing.T) {
-			for seed := int64(1); seed <= int64(n); seed++ {
-				seed := seed
-				t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-					t.Parallel()
-					res, err := Run(Config{
-						Seed:      seed,
-						Ops:       60,
-						Faults:    prof.faults,
-						Checksums: prof.checksums,
-						ForceGob:  true,
-					})
-					if err != nil {
-						t.Fatalf("forced-gob chaos run failed (profile=%s seed=%d): %v", prof.name, seed, err)
-					}
-					if !res.Converged {
-						t.Fatalf("DIVERGED under forced gob (profile=%s seed=%d): %s\nfaults: %+v\nsync: %+v",
-							prof.name, seed, res.Mismatch, res.Faults, res.Sync)
-					}
-					if res.DuplicateApplies != 0 {
-						t.Fatalf("duplicate applies under forced gob (profile=%s seed=%d): %d",
-							prof.name, seed, res.DuplicateApplies)
-					}
-				})
-			}
-		})
-	}
-}
-
 // TestChaosFaultFree sanity-checks the harness itself: with no faults the
 // two stacks must converge and no retries may be metered.
 func TestChaosFaultFree(t *testing.T) {

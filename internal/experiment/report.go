@@ -1,11 +1,68 @@
 package experiment
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
+	"os/exec"
+	"runtime"
+	"runtime/debug"
+	"strings"
 
 	"repro/internal/filebench"
 )
+
+// RunMeta pins a benchmark report to the machine and revision that produced
+// it, so reports stay comparable across revisions: a number only means
+// something when GOMAXPROCS and the commit hash say what actually ran.
+type RunMeta struct {
+	GoVersion  string `json:"go_version"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"num_cpu"`
+	// Commit is the VCS revision baked into the binary ("unknown" when the
+	// build carries no VCS stamp, e.g. `go test` binaries).
+	Commit string `json:"commit"`
+	Dirty  bool   `json:"dirty,omitempty"`
+}
+
+// NewRunMeta captures the current process's run metadata.
+func NewRunMeta() *RunMeta {
+	m := &RunMeta{
+		GoVersion:  runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
+		Commit:     "unknown",
+	}
+	if info, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range info.Settings {
+			switch s.Key {
+			case "vcs.revision":
+				m.Commit = s.Value
+			case "vcs.modified":
+				m.Dirty = s.Value == "true"
+			}
+		}
+	}
+	// `go run` and `go test` binaries carry no VCS stamp, which would let a
+	// dirty tree masquerade as clean. Fall back to asking git directly; if
+	// git is unavailable or this is not a checkout, stay conservative and
+	// report dirty so an unattributable report is never published as clean.
+	if m.Commit == "unknown" {
+		if rev, err := exec.Command("git", "rev-parse", "HEAD").Output(); err == nil {
+			m.Commit = strings.TrimSpace(string(rev))
+		}
+		if st, err := exec.Command("git", "status", "--porcelain").Output(); err == nil {
+			m.Dirty = len(bytes.TrimSpace(st)) > 0
+		} else {
+			m.Dirty = true
+		}
+	}
+	return m
+}
 
 // Report is the machine-readable form of a benchall run: every table and
 // figure number in one JSON document, so the perf trajectory can be tracked
@@ -35,20 +92,6 @@ type Report struct {
 	// exploration coverage per storage failure profile. Coverage counters are
 	// reported for the trajectory; violations additionally fail the run.
 	CrashStorm []CrashStormResult `json:"crashstorm,omitempty"`
-
-	// Scaling is the multi-client throughput sweep: sharded vs global-lock
-	// server push throughput per client count (not a paper artifact; tracks
-	// the server's concurrency headroom across revisions).
-	Scaling []ScalingResult `json:"scaling,omitempty"`
-
-	// Load is the real-TCP load sweep (-exp loadsweep): striped applied log
-	// vs 1-stripe baseline per client count, over actual loopback
-	// connections through the bounded transport.
-	Load []LoadResult `json:"load,omitempty"`
-
-	// CommitWindows is the journal group-commit sweep that backs the
-	// server's -commit-window default.
-	CommitWindows []CommitWindowResult `json:"commit_windows,omitempty"`
 }
 
 // AddMatrix records the evaluation matrix in the report.

@@ -71,23 +71,6 @@ func Table3(iterations int) ([]filebench.Result, error) {
 	return out, nil
 }
 
-// Table3Cell runs a single (personality, configuration) cell. name is one
-// of "Fileserver", "Varmail", "Webserver".
-func Table3Cell(name string, cfg FSConfig, iterations int) (filebench.Result, error) {
-	var p filebench.Personality
-	switch name {
-	case "Fileserver":
-		p = filebench.Fileserver(iterations)
-	case "Varmail":
-		p = filebench.Varmail(iterations)
-	case "Webserver":
-		p = filebench.Webserver(iterations)
-	default:
-		return filebench.Result{}, fmt.Errorf("unknown personality %q", name)
-	}
-	return runTable3Cell(p, cfg)
-}
-
 func runTable3Cell(p filebench.Personality, cfg FSConfig) (filebench.Result, error) {
 	backing := vfs.NewMemFS()
 	meter := metrics.NewCPUMeter(metrics.PC)

@@ -96,10 +96,11 @@ type Store struct {
 
 // DefaultCommitWindow is the group-commit window production callers
 // (cmd/deltacfs-server's push journal) use unless overridden. Chosen from
-// the benchall commit-window sweep (BENCH_6.json): on the write-heavy
-// loadsweep workload a 5ms window collapses per-push fsyncs by more than an
-// order of magnitude at a durability lag bounded well below client RPC
-// timeouts; wider windows bought little additional coalescing.
+// the commit-window sweep recorded in EXPERIMENTS.md ("Wall-clock sweeps
+// before bench/"): on a write-heavy 64-client push workload a 5ms window
+// collapses per-push fsyncs by more than an order of magnitude at a
+// durability lag bounded well below client RPC timeouts; wider windows
+// bought little additional coalescing.
 const DefaultCommitWindow = 5 * time.Millisecond
 
 // Options tunes a store opened with OpenWith.

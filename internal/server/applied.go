@@ -61,8 +61,7 @@ type appliedLog struct {
 
 // newAppliedLog returns an empty log with the given stripe count (rounded up
 // to a power of two, minimum 1). One stripe reproduces the historical
-// global-mutex behavior and is what the 1-shard oracle configuration and the
-// loadsweep "global" baseline use.
+// global-mutex behavior and is what the 1-shard oracle configuration uses.
 func newAppliedLog(stripes int) *appliedLog {
 	n := 1
 	for n < stripes {

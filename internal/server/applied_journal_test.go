@@ -89,10 +89,10 @@ func TestAppliedLogConcurrentAppendSnapshot(t *testing.T) {
 }
 
 // Restore must work across stripe geometries: a snapshot taken from a
-// striped server reloads into a differently-striped one with the applied
-// order intact, and appends continue the sequence afterwards.
+// striped server reloads into a 1-stripe one with the applied order intact,
+// and appends continue the sequence afterwards.
 func TestAppliedLogRestoreAcrossStripeCounts(t *testing.T) {
-	s1 := NewWithOptions(nil, Options{Shards: 4, AppliedStripes: 8})
+	s1 := NewWithShards(nil, 8)
 	cli := s1.Register()
 	for i := 1; i <= 20; i++ {
 		r := s1.Push(cli, keyedBatch(cli, uint64(i), fmt.Sprintf("f%d", i), []byte{byte(i)}))
@@ -105,7 +105,7 @@ func TestAppliedLogRestoreAcrossStripeCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2 := NewWithOptions(nil, Options{Shards: 4, AppliedStripes: 1})
+	s2 := NewWithShards(nil, 1)
 	if err := s2.Load(&snap); err != nil {
 		t.Fatal(err)
 	}
@@ -124,9 +124,9 @@ func TestAppliedLogRestoreAcrossStripeCounts(t *testing.T) {
 
 // Concurrent pushes against concurrent snapshots (Save quiesces the world,
 // append holds shard locks): the final snapshot must round-trip into a
-// fresh server byte-identically. The -race run is the point.
+// fresh 1-stripe server byte-identically. The -race run is the point.
 func TestConcurrentPushSnapshotRestore(t *testing.T) {
-	s := NewWithOptions(nil, Options{Shards: 8, AppliedStripes: 8})
+	s := NewWithShards(nil, 8)
 	const clients = 4
 	ids := make([]uint32, clients)
 	for i := range ids {
@@ -160,7 +160,7 @@ func TestConcurrentPushSnapshotRestore(t *testing.T) {
 			if err := s.Save(&finalBuf); err != nil {
 				t.Fatal(err)
 			}
-			s2 := New(nil)
+			s2 := NewWithShards(nil, 1)
 			if err := s2.Load(&finalBuf); err != nil {
 				t.Fatal(err)
 			}

@@ -271,7 +271,7 @@ func (j *Journal) TruncateSnapshotted() (int, error) {
 }
 
 // Fsyncs returns the number of WAL fsyncs the journal has performed — the
-// write-amplification counter the loadsweep records.
+// write-amplification counter bench/ reports as journal.fsyncs.
 func (j *Journal) Fsyncs() int64 { return j.kv.FsyncCount() }
 
 // SyncCoalesced returns how many durability requests were absorbed by an

@@ -137,11 +137,6 @@ type Options struct {
 	// Shards is the file-state stripe count (0 → DefaultShards, rounded up
 	// to a power of two, minimum 1).
 	Shards int
-	// AppliedStripes is the applied-op log stripe count (0 → same as the
-	// resolved Shards). 1 reproduces the historical global-appliedMu
-	// behavior: every commit appends under one mutex — the baseline the
-	// loadsweep compares the striped log against.
-	AppliedStripes int
 	// FS is the file-IO layer snapshots (SaveFile/LoadFile) write
 	// through. nil means the real file system; the crash-point harness
 	// substitutes a storagefault.SimDisk or Injector.
@@ -157,17 +152,17 @@ func New(meter *metrics.CPUMeter) *Server {
 // NewWithShards returns an empty server with the given stripe count (rounded
 // up to a power of two, minimum 1). A 1-shard server serializes every batch
 // on a single lock — the global-lock configuration the property tests use as
-// oracle and the throughput sweep uses as baseline; it also gets a 1-stripe
-// applied log, completing the "one global mutex" oracle shape.
+// oracle; it also gets a 1-stripe applied log, completing the "one global
+// mutex" oracle shape.
 func NewWithShards(meter *metrics.CPUMeter, shards int) *Server {
 	if shards < 1 {
 		shards = 1
 	}
-	return NewWithOptions(meter, Options{Shards: shards, AppliedStripes: shards})
+	return NewWithOptions(meter, Options{Shards: shards})
 }
 
 // NewWithOptions returns an empty server with an explicit concurrency
-// configuration.
+// configuration. The applied-op log gets one stripe per file-state shard.
 func NewWithOptions(meter *metrics.CPUMeter, o Options) *Server {
 	shards := o.Shards
 	if shards <= 0 {
@@ -176,10 +171,6 @@ func NewWithOptions(meter *metrics.CPUMeter, o Options) *Server {
 	n := 1
 	for n < shards {
 		n <<= 1
-	}
-	appliedStripes := o.AppliedStripes
-	if appliedStripes <= 0 {
-		appliedStripes = n
 	}
 	fsys := o.FS
 	if fsys == nil {
@@ -190,7 +181,7 @@ func NewWithOptions(meter *metrics.CPUMeter, o Options) *Server {
 		shardMask: uint32(n - 1),
 		clients:   make(map[uint32]*clientState),
 		groups:    make(map[uint32]*groupInfo),
-		applied:   newAppliedLog(appliedStripes),
+		applied:   newAppliedLog(n),
 		fsys:      fsys,
 		meter:     meter,
 	}

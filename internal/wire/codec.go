@@ -14,14 +14,13 @@ import (
 
 // The binary wire codec. gob's reflection and per-message type descriptors
 // dominate the per-request CPU and allocation cost past a few thousand
-// clients, so the hot path speaks a hand-rolled, length-prefixed
+// clients, so the transport speaks a hand-rolled, length-prefixed
 // little-endian format instead: one frame per message, one allocation per
 // push (the frame buffer itself, which the decoded batch aliases and the
 // server then retains for the journal and forwarding fan-out — encode once,
-// reuse everywhere). gob remains the fallback codec and the cross-version
-// oracle: a connection's codec is negotiated by a magic preamble the client
-// sends after connect (negotiation lives in transport.go), and every message
-// has the same meaning in both codecs.
+// reuse everywhere). Every connection opens with a magic preamble the client
+// sends after connect (checked in transport.go); gob survives only in tests,
+// as the oracle the codec's round trips are checked against.
 //
 // Frame layout (all integers little-endian):
 //
@@ -44,15 +43,14 @@ import (
 // truncated frames, counts past the buffer) must die here, not in an
 // allocator or an index expression.
 
-// BinaryCodecVersion is the negotiated frame-format version carried in the
-// codec magic. Bump it when the payload layout changes incompatibly; the
-// server rejects versions it does not speak and the client falls back to gob.
+// BinaryCodecVersion is the frame-format version carried in the codec magic.
+// Bump it when the payload layout changes incompatibly; the server closes
+// connections whose preamble names a version it does not speak.
 const BinaryCodecVersion = 1
 
-// codecMagic is the preamble a binary-codec client sends immediately after
-// connect. The first byte is 0x00, which can never begin a gob stream (gob
-// frames a message with a uvarint byte count ≥ 1), so a server can sniff the
-// codec from a single peeked byte without consuming the stream.
+// codecMagic is the preamble every client sends immediately after connect.
+// A connection whose first four bytes differ is closed unanswered, before
+// any request reaches the backend.
 var codecMagic = [4]byte{0x00, 'D', 'C', BinaryCodecVersion}
 
 // MaxFrameSize bounds one frame's payload. Large enough for a whole-file
@@ -99,7 +97,7 @@ func BatchEncodes() int64 { return batchEncodes.Load() }
 // this same value, and binary poll responses splice the bytes verbatim.
 // Batches that arrive over the binary transport are born with their payload
 // (the decoder aliases the frame buffer, so the encode count is zero);
-// batches from gob peers or in-process callers encode lazily on first use.
+// batches from in-process callers encode lazily on first use.
 //
 // The contract is immutability: neither the Batch nor the payload may be
 // mutated after construction. The server's apply path copies extent/chunk

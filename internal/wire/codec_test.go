@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"net"
 	"reflect"
 	"testing"
 
@@ -331,86 +330,4 @@ func TestDecodeRequestRejectsHostilePayloads(t *testing.T) {
 			t.Errorf("%s: hostile request accepted", name)
 		}
 	}
-}
-
-// The interop matrix: every client codec against a current server and an
-// old-style (gob-only) server. Auto must negotiate binary against a current
-// server and fall back to gob against an old one.
-func TestCodecInteropMatrix(t *testing.T) {
-	servers := []struct {
-		name string
-		cfg  ServeConfig
-	}{
-		{"binary-server", ServeConfig{}},
-		{"gob-server", ServeConfig{ForceGob: true}},
-	}
-	clients := []struct {
-		codec Codec
-		// negotiated codec expected against [current, forced-gob] servers;
-		// "" means the dial must fail.
-		want [2]string
-	}{
-		{CodecAuto, [2]string{"binary", "gob"}},
-		{CodecBinary, [2]string{"binary", ""}},
-		{CodecGob, [2]string{"gob", "gob"}},
-	}
-	for si, srv := range servers {
-		for _, cl := range clients {
-			t.Run(fmt.Sprintf("%s/client=%s", srv.name, orAuto(string(cl.codec))), func(t *testing.T) {
-				backend := newFakeBackend()
-				lis := mustListen(t)
-				defer lis.Close()
-				go ServeWith(lis, backend, srv.cfg)
-
-				c, err := DialWith(lis.Addr().String(), DialOpts{Codec: cl.codec})
-				if cl.want[si] == "" {
-					if err == nil {
-						c.Close()
-						t.Fatal("dial succeeded; want codec rejection")
-					}
-					return
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer c.Close()
-				if got := c.Codec(); got != cl.want[si] {
-					t.Fatalf("negotiated %q, want %q", got, cl.want[si])
-				}
-				// A full push/fetch round proves the negotiated session
-				// actually works, whatever the codec.
-				id, err := c.Register()
-				if err != nil {
-					t.Fatal(err)
-				}
-				content := []byte("interop payload")
-				if _, err := c.Push(&Batch{Nodes: []*Node{{
-					Kind: NFull, Path: "f", Full: content,
-					Ver: version.ID{Client: id, Count: 1},
-				}}}); err != nil {
-					t.Fatal(err)
-				}
-				fr, err := c.Fetch("f")
-				if err != nil || !fr.Exists || !bytes.Equal(fr.Content, content) {
-					t.Fatalf("Fetch = %+v, %v", fr, err)
-				}
-			})
-		}
-	}
-}
-
-func orAuto(s string) string {
-	if s == "" {
-		return "auto"
-	}
-	return s
-}
-
-func mustListen(t *testing.T) net.Listener {
-	t.Helper()
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return lis
 }

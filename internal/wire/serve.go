@@ -12,20 +12,19 @@ import (
 // The bounded worker/accept model. Goroutine-per-connection costs a stack
 // (and scheduler presence) per client, which is what caps a sync server in
 // the low thousands of mostly-idle connections. Here a plain TCP connection
-// costs only its file descriptor plus a small decoder state: connections
+// costs only its file descriptor plus a buffered reader: connections
 // park in an OS readiness poller (poller_linux.go) with no goroutine
 // attached; when bytes arrive, the poller hands the connection to a fixed
 // pool of workers, one of which runs the request loop until the connection
 // goes quiet again and re-arms it. EPOLLONESHOT guarantees a connection is
 // owned by at most one worker at a time, preserving the strict
-// request/response framing of the gob stream.
+// request/response pairing of the frames on a connection.
 //
 // Connections the poller cannot multiplex — TLS and fault-injection
 // wrappers (their net.Conn hides the descriptor and carries decryption
 // state a readiness event knows nothing about), or platforms without a
 // poller — fall back to the historical dedicated-goroutine loop. The stats
-// record which path each connection took, so load harnesses can assert the
-// bound.
+// record which path each connection took, so tests can assert the bound.
 
 // ServeStats exposes the transport's connection and request counters. All
 // methods are safe for concurrent use.
@@ -143,12 +142,11 @@ func (s *serveState) admitPolled(tc *net.TCPConn) error {
 	if err := raw.Control(func(f uintptr) { fd = int32(f) }); err != nil {
 		return err
 	}
-	br := bufio.NewReader(tc)
 	pc := &polledConn{
 		srv:  s,
 		conn: tc,
 		fd:   fd,
-		cc:   newConnCodec(tc, br, s.cfg.ForceGob),
+		cc:   &connCodec{conn: tc, br: bufio.NewReader(tc)},
 	}
 	pc.lastActive.Store(time.Now().UnixNano())
 	return s.poller.add(pc)
@@ -240,8 +238,8 @@ func (s *serveState) stop() {
 }
 
 // polledConn is one multiplexed connection: its descriptor is registered
-// with the poller; its codec state (negotiated mode, buffered reader,
-// resumable decoder) lives here between wakeups.
+// with the poller; its framing state (preamble checked, buffered reader)
+// lives here between wakeups.
 type polledConn struct {
 	srv   *serveState
 	conn  *net.TCPConn
@@ -256,7 +254,7 @@ type polledConn struct {
 }
 
 // serveReady runs on a pool worker after a readiness event: serve requests
-// until the connection goes quiet, then re-arm it. The decoder's buffer is
+// until the connection goes quiet, then re-arm it. The reader's buffer is
 // drained before re-arming — bytes already read out of the kernel will
 // never produce another readiness event.
 func (pc *polledConn) serveReady() {

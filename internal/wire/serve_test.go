@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"bytes"
 	"crypto/tls"
+	"encoding/gob"
 	"fmt"
 	"net"
 	"runtime"
@@ -129,5 +131,100 @@ func TestServeTLSFallsBack(t *testing.T) {
 	}
 	if got := stats.Polled(); got != 0 {
 		t.Fatalf("Polled = %d, want 0", got)
+	}
+}
+
+// Every connection must open with the codecMagic preamble. One that opens
+// with anything else is closed without a reply, on both the polled and the
+// fallback path, and nothing it sent reaches the backend. The gob stream —
+// a gob-encoded register request followed by four bytes of garbage — is
+// what a gob-speaking client would send; the wrong-version stream is a
+// well-formed register frame behind a preamble for a codec version this
+// server does not speak.
+func TestServeRejectsConnectionWithoutPreamble(t *testing.T) {
+	serverConf, clientConf, err := SelfSignedTLS()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gobStream bytes.Buffer
+	if err := gob.NewEncoder(&gobStream).Encode(&request{Op: "register"}); err != nil {
+		t.Fatal(err)
+	}
+	gobStream.Write([]byte{0xde, 0xad, 0xbe, 0xef})
+	wrongVersion := []byte{codecMagic[0], codecMagic[1], codecMagic[2], codecMagic[3] + 1}
+	frame, err := appendRequest(beginFrame(nil), &request{Op: "register"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := finishFrame(frame, 0); err != nil {
+		t.Fatal(err)
+	}
+	streams := []struct {
+		name  string
+		bytes []byte
+	}{
+		{"gob", gobStream.Bytes()},
+		{"wrong-version", append(wrongVersion, frame...)},
+	}
+	for _, path := range []struct {
+		name   string
+		useTLS bool
+	}{{"polled", false}, {"fallback-tls", true}} {
+		for _, stream := range streams {
+			t.Run(path.name+"/"+stream.name, func(t *testing.T) {
+				lis, err := net.Listen("tcp", "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer lis.Close()
+				stats := &ServeStats{}
+				backend := newFakeBackend()
+				served := lis
+				if path.useTLS {
+					served = tls.NewListener(lis, serverConf)
+				}
+				go ServeWith(served, backend, ServeConfig{Stats: stats})
+
+				conn, err := net.Dial("tcp", lis.Addr().String())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if path.useTLS {
+					conn = tls.Client(conn, clientConf)
+				}
+				defer conn.Close()
+				conn.SetDeadline(time.Now().Add(10 * time.Second))
+
+				if _, err := conn.Write(stream.bytes); err != nil {
+					t.Fatal(err)
+				}
+				n, err := conn.Read(make([]byte, 256))
+				if n != 0 || err == nil {
+					t.Fatalf("server replied with %d bytes (err %v); want the connection closed unanswered", n, err)
+				}
+				if ne, ok := err.(net.Error); ok && ne.Timeout() {
+					t.Fatal("server neither replied nor closed the connection")
+				}
+
+				backend.mu.Lock()
+				registered := len(backend.groups)
+				backend.mu.Unlock()
+				if registered != 0 {
+					t.Fatalf("backend saw %d RegisterGroup calls, want 0", registered)
+				}
+				if got := stats.Requests(); got != 0 {
+					t.Fatalf("Requests = %d, want 0", got)
+				}
+				if path.useTLS {
+					if got := stats.Fallback(); got != 1 {
+						t.Fatalf("Fallback = %d, want 1", got)
+					}
+				} else if runtime.GOOS == "linux" {
+					if got := stats.Polled(); got != 1 {
+						t.Fatalf("Polled = %d, want 1", got)
+					}
+				}
+			})
+		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"crypto/x509"
 	"crypto/x509/pkix"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -44,17 +43,6 @@ type Backend interface {
 	PollEncoded(client uint32) []*EncodedBatch
 }
 
-// Codec names a wire codec for DialOpts.
-type Codec string
-
-// Wire codecs. The zero value negotiates: binary first, falling back to gob
-// when the server does not speak the binary preamble (an old peer).
-const (
-	CodecAuto   Codec = ""
-	CodecBinary Codec = "binary"
-	CodecGob    Codec = "gob"
-)
-
 // request is the single on-the-wire request message.
 type request struct {
 	Op     string // "register", "attach", "push", "fetch", "head", "fetchrange", "poll"
@@ -81,8 +69,8 @@ type response struct {
 // ServeConfig tunes per-connection robustness of Serve.
 type ServeConfig struct {
 	// WriteTimeout bounds each response write. Without it, a half-dead peer
-	// that stops reading wedges its handler forever inside gob.Encode (the
-	// kernel send buffer fills and the write never returns). It also bounds
+	// that stops reading wedges its handler forever inside the frame write
+	// (the kernel send buffer fills and the write never returns). It also bounds
 	// each request read once the first byte has arrived, so a trickling
 	// client cannot pin a pool worker. Default 30s; negative disables.
 	WriteTimeout time.Duration
@@ -94,13 +82,8 @@ type ServeConfig struct {
 	// multiplexed (readiness-polled) connections. 0 → defaultServeWorkers.
 	Workers int
 	// Stats, when non-nil, receives the transport's connection and request
-	// counters (load harnesses read them to prove goroutine boundedness).
+	// counters (tests read them to prove goroutine boundedness).
 	Stats *ServeStats
-	// ForceGob disables binary-codec negotiation: every connection is served
-	// as a gob stream, exactly like a server from before the binary codec
-	// existed. Interop tests use it as the old-server stand-in; operationally
-	// it is the escape hatch if a codec bug ships.
-	ForceGob bool
 }
 
 // DefaultWriteTimeout is the response-write deadline Serve applies when the
@@ -141,14 +124,13 @@ func ServeWith(lis net.Listener, backend Backend, cfg ServeConfig) error {
 }
 
 // serveConn runs one fallback connection's request loop on its own
-// goroutine. It returns (closing the connection) on the first decode or
-// response-write failure: neither stream can resynchronize after a short
-// write (gob has no framing; a binary peer's frame boundary is lost), so
-// continuing would desynchronize every later exchange. The returned error
-// reports why the connection ended (nil for a clean EOF).
+// goroutine. It returns (closing the connection) on the first preamble,
+// decode or response-write failure: after a short write the frame boundary
+// is lost, so continuing would desynchronize every later exchange. The
+// returned error reports why the connection ended (nil for a clean EOF).
 func serveConn(conn net.Conn, backend Backend, cfg ServeConfig, stats *ServeStats) error {
 	defer conn.Close()
-	cc := newConnCodec(conn, bufio.NewReader(conn), cfg.ForceGob)
+	cc := &connCodec{conn: conn, br: bufio.NewReader(conn)}
 	var client uint32
 	for {
 		if cfg.IdleTimeout > 0 {
@@ -163,86 +145,29 @@ func serveConn(conn net.Conn, backend Backend, cfg ServeConfig, stats *ServeStat
 	}
 }
 
-// Connection codec modes.
-const (
-	codecModeUnknown = iota
-	codecModeGob
-	codecModeBinary
-)
-
-// connCodec is one server-side connection's codec state: the sniffed mode
-// (binary peers announce themselves with codecMagic before their first
-// frame; everything else is a gob stream), the shared buffered reader both
-// codecs decode from, and the lazily-built gob machinery.
+// connCodec is one server-side connection's framing state: the buffered
+// reader frames are decoded from, and whether the codecMagic preamble that
+// must open every connection has been read yet.
 type connCodec struct {
-	conn     net.Conn
-	br       *bufio.Reader
-	forceGob bool
-	mode     int
-	dec      *gob.Decoder
-	enc      *gob.Encoder
+	conn    net.Conn
+	br      *bufio.Reader
+	greeted bool
 }
 
-func newConnCodec(conn net.Conn, br *bufio.Reader, forceGob bool) *connCodec {
-	return &connCodec{conn: conn, br: br, forceGob: forceGob}
-}
-
-func (cc *connCodec) useGob() {
-	cc.mode = codecModeGob
-	cc.dec = gob.NewDecoder(cc.br)
-	cc.enc = gob.NewEncoder(cc.conn)
-}
-
-// negotiate sniffs the connection's codec from its first byte. A gob stream
-// frames every message with a uvarint byte count ≥ 1, so a leading 0x00 can
-// only be the binary codec's magic preamble.
-func (cc *connCodec) negotiate() error {
-	if cc.mode != codecModeUnknown {
-		return nil
-	}
-	if cc.forceGob {
-		cc.useGob()
-		return nil
-	}
-	first, err := cc.br.Peek(1)
-	if err != nil {
-		return err
-	}
-	if first[0] != codecMagic[0] {
-		cc.useGob()
-		return nil
-	}
-	var magic [4]byte
-	if _, err := io.ReadFull(cc.br, magic[:]); err != nil {
-		return fmt.Errorf("wire: codec preamble: %w", err)
-	}
-	if magic != codecMagic {
-		return fmt.Errorf("wire: unsupported codec preamble %x", magic)
-	}
-	cc.mode = codecModeBinary
-	return nil
-}
-
-// name reports the negotiated codec ("" before the first request).
-func (cc *connCodec) name() string {
-	switch cc.mode {
-	case codecModeGob:
-		return string(CodecGob)
-	case codecModeBinary:
-		return string(CodecBinary)
-	}
-	return ""
-}
-
-// readRequest decodes one request. For binary push requests it returns the
-// batch's raw payload (retained by the caller in an EncodedBatch — the
-// decoded batch aliases it); nil otherwise.
+// readRequest decodes one request, first checking the connection's
+// preamble if this is its first. For push requests it returns the batch's
+// raw payload (retained by the caller in an EncodedBatch — the decoded
+// batch aliases it); nil otherwise.
 func (cc *connCodec) readRequest(req *request) ([]byte, error) {
-	if err := cc.negotiate(); err != nil {
-		return nil, err
-	}
-	if cc.mode == codecModeGob {
-		return nil, cc.dec.Decode(req)
+	if !cc.greeted {
+		var magic [4]byte
+		if _, err := io.ReadFull(cc.br, magic[:]); err != nil {
+			return nil, fmt.Errorf("wire: codec preamble: %w", err)
+		}
+		if magic != codecMagic {
+			return nil, fmt.Errorf("wire: unsupported codec preamble %x", magic)
+		}
+		cc.greeted = true
 	}
 	// The frame buffer is allocated fresh, not pooled: push frames are
 	// retained for the batch's lifetime (journal + outboxes), and non-push
@@ -254,19 +179,9 @@ func (cc *connCodec) readRequest(req *request) ([]byte, error) {
 	return decodeRequest(payload, req)
 }
 
-// writeResponse encodes one response. ebs carries a poll's batches in
-// already-encoded form; the binary codec splices their payloads verbatim,
-// while the gob fallback encodes the decoded batches the legacy way.
+// writeResponse encodes one response frame. ebs carries a poll's batches in
+// already-encoded form; their payloads are spliced verbatim.
 func (cc *connCodec) writeResponse(resp *response, ebs []*EncodedBatch) error {
-	if cc.mode == codecModeGob {
-		if ebs != nil {
-			resp.Batches = make([]*Batch, len(ebs))
-			for i, eb := range ebs {
-				resp.Batches[i] = eb.Batch()
-			}
-		}
-		return cc.enc.Encode(resp)
-	}
 	bp := getFrameBuf()
 	buf := beginFrame((*bp)[:0])
 	buf = appendResponse(buf, resp, ebs)
@@ -319,13 +234,7 @@ func serveOne(cc *connCodec, backend Backend, cfg ServeConfig, stats *ServeStats
 				binary.LittleEndian.PutUint32(raw[:4], *client)
 			}
 		}
-		var eb *EncodedBatch
-		if raw != nil {
-			eb = NewEncodedBatchRaw(req.B, raw)
-		} else {
-			eb = NewEncodedBatch(req.B)
-		}
-		resp.Push = backend.PushEncoded(*client, eb)
+		resp.Push = backend.PushEncoded(*client, NewEncodedBatchRaw(req.B, raw))
 	case "fetch":
 		resp.Fetch = backend.Fetch(req.Path)
 	case "head":
@@ -400,8 +309,8 @@ func Classify(err error) ErrClass {
 	if te.Phase == "dial" {
 		return ClassRetryable
 	}
-	// A failed send is still ambiguous: gob buffers, so bytes may have
-	// reached the server before the failure surfaced here.
+	// A failed send is still ambiguous: a frame write can fail part way, so
+	// bytes may have reached the server before the failure surfaced here.
 	return ClassAmbiguous
 }
 
@@ -410,24 +319,13 @@ func Classify(err error) ErrClass {
 type NetClient struct {
 	mu      sync.Mutex
 	conn    net.Conn
-	binary  bool
-	enc     *gob.Encoder  // gob codec only
-	dec     *gob.Decoder  // gob codec only
-	br      *bufio.Reader // binary codec frame reads
-	rbuf    []byte        // binary codec response scratch (under mu)
+	br      *bufio.Reader // response frame reads
+	rbuf    []byte        // response scratch (under mu)
 	id      uint32
 	timeout time.Duration
 	broken  bool
 	traffic *metrics.TrafficMeter
 	meter   *metrics.CPUMeter
-}
-
-// Codec reports the codec this connection negotiated ("binary" or "gob").
-func (c *NetClient) Codec() string {
-	if c.binary {
-		return string(CodecBinary)
-	}
-	return string(CodecGob)
 }
 
 // DialOpts configures DialWith.
@@ -447,15 +345,6 @@ type DialOpts struct {
 	// everyone-shares group). Forwarding and conflict history are scoped to
 	// the group, which is what lets one server host many isolated tenants.
 	Group uint32
-	// HardClose makes Close reset the connection (SO_LINGER 0) instead of
-	// lingering in TIME_WAIT. Load harnesses churn tens of thousands of
-	// loopback connections per run and would otherwise exhaust the local
-	// port and TIME_WAIT tables, skewing back-to-back measurements.
-	HardClose bool
-	// Codec selects the wire codec. CodecAuto (the zero value) tries the
-	// binary codec and falls back to gob when the server closes on the
-	// preamble — the old-server interop path.
-	Codec Codec
 }
 
 // Dial connects to a Serve listener and registers a new client. tlsConf may
@@ -465,46 +354,15 @@ func Dial(addr string, tlsConf *tls.Config, meter *metrics.CPUMeter, traffic *me
 	return DialWith(addr, DialOpts{TLS: tlsConf, Meter: meter, Traffic: traffic})
 }
 
-// DialWith connects to a Serve listener with explicit options. When
+// DialWith connects to a Serve listener with explicit options: it sends
+// the codecMagic preamble and then registers (or attaches) over frames. When
 // OpTimeout is set it also bounds connection establishment — including the
 // TLS handshake, which otherwise blocks forever if the peer (or a fault in
 // between) swallows handshake bytes.
-//
-// With CodecAuto the binary codec is tried first; if the connection was
-// established but the identity exchange died (the signature of an old gob
-// server closing on the unrecognized preamble), the dial is repeated
-// speaking gob.
 func DialWith(addr string, o DialOpts) (*NetClient, error) {
-	switch o.Codec {
-	case CodecGob:
-		c, err, _ := dialCodec(addr, o, false)
-		return c, err
-	case CodecBinary:
-		c, err, _ := dialCodec(addr, o, true)
-		return c, err
-	}
-	c, err, exchangeFailed := dialCodec(addr, o, true)
-	if err != nil && exchangeFailed {
-		if c2, err2, _ := dialCodec(addr, o, false); err2 == nil {
-			return c2, nil
-		}
-	}
-	return c, err
-}
-
-// dialCodec performs one connection attempt with a fixed codec.
-// exchangeFailed reports that TCP (and TLS) came up but the identity
-// exchange then failed — the only case where falling back to the other
-// codec can help.
-func dialCodec(addr string, o DialOpts, binaryCodec bool) (_ *NetClient, _ error, exchangeFailed bool) {
 	conn, err := net.DialTimeout("tcp", addr, o.OpTimeout)
 	if err != nil {
-		return nil, &TransportError{Phase: "dial", Err: fmt.Errorf("%s: %w", addr, err)}, false
-	}
-	if o.HardClose {
-		if tc, ok := conn.(*net.TCPConn); ok {
-			tc.SetLinger(0)
-		}
+		return nil, &TransportError{Phase: "dial", Err: fmt.Errorf("%s: %w", addr, err)}
 	}
 	if o.TLS != nil {
 		if o.OpTimeout > 0 {
@@ -513,34 +371,28 @@ func dialCodec(addr string, o DialOpts, binaryCodec bool) (_ *NetClient, _ error
 		tc := tls.Client(conn, o.TLS)
 		if err := tc.Handshake(); err != nil {
 			conn.Close()
-			return nil, &TransportError{Phase: "dial", Err: fmt.Errorf("%s: tls: %w", addr, err)}, false
+			return nil, &TransportError{Phase: "dial", Err: fmt.Errorf("%s: tls: %w", addr, err)}
 		}
 		conn.SetDeadline(time.Time{})
 		conn = tc
 	}
 	c := &NetClient{
 		conn:    conn,
-		binary:  binaryCodec,
+		br:      bufio.NewReader(conn),
 		timeout: o.OpTimeout,
 		traffic: o.Traffic,
 		meter:   o.Meter,
 	}
-	if binaryCodec {
-		c.br = bufio.NewReader(conn)
-		if o.OpTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(o.OpTimeout))
-		}
-		_, err := conn.Write(codecMagic[:])
-		if o.OpTimeout > 0 {
-			conn.SetWriteDeadline(time.Time{})
-		}
-		if err != nil {
-			conn.Close()
-			return nil, &TransportError{Phase: "dial", Err: fmt.Errorf("%s: codec preamble: %w", addr, err)}, true
-		}
-	} else {
-		c.enc = gob.NewEncoder(conn)
-		c.dec = gob.NewDecoder(conn)
+	if o.OpTimeout > 0 {
+		conn.SetWriteDeadline(time.Now().Add(o.OpTimeout))
+	}
+	_, err = conn.Write(codecMagic[:])
+	if o.OpTimeout > 0 {
+		conn.SetWriteDeadline(time.Time{})
+	}
+	if err != nil {
+		conn.Close()
+		return nil, &TransportError{Phase: "dial", Err: fmt.Errorf("%s: codec preamble: %w", addr, err)}
 	}
 	req := request{Op: "register", Group: o.Group}
 	if o.AttachID != 0 {
@@ -552,10 +404,10 @@ func dialCodec(addr string, o DialOpts, binaryCodec bool) (_ *NetClient, _ error
 		// The identity exchange is part of connection establishment: a
 		// failure here never leaves server-visible state behind, so report
 		// it as a dial failure (always retryable).
-		return nil, &TransportError{Phase: "dial", Err: err}, true
+		return nil, &TransportError{Phase: "dial", Err: err}
 	}
 	c.id = resp.Client
-	return c, nil, false
+	return c, nil
 }
 
 // roundTrip sends req and waits for the response. wireBytes is the
@@ -577,21 +429,8 @@ func (c *NetClient) roundTrip(req request, wireBytes int64) (*response, error) {
 		defer c.conn.SetDeadline(time.Time{})
 	}
 	var resp response
-	if c.binary {
-		if err := c.exchangeBinary(&req, &resp); err != nil {
-			return nil, err
-		}
-	} else {
-		if err := c.enc.Encode(&req); err != nil {
-			c.broken = true
-			return nil, &TransportError{Phase: "send", Err: err}
-		}
-		if err := c.dec.Decode(&resp); err != nil {
-			// A gob stream cannot resynchronize after a torn exchange; poison
-			// the connection so later callers fail fast instead of misparsing.
-			c.broken = true
-			return nil, &TransportError{Phase: "recv", Err: err}
-		}
+	if err := c.exchange(&req, &resp); err != nil {
+		return nil, err
 	}
 	if resp.Err != "" {
 		return nil, errors.New(resp.Err)
@@ -599,11 +438,11 @@ func (c *NetClient) roundTrip(req request, wireBytes int64) (*response, error) {
 	return &resp, nil
 }
 
-// exchangeBinary performs one framed request/response exchange. The caller
+// exchange performs one framed request/response exchange. The caller
 // holds c.mu. Any failure — including a frame that fails its checksum or
 // bounds checks — poisons the connection: the strict request/response
 // pairing is lost either way.
-func (c *NetClient) exchangeBinary(req *request, resp *response) error {
+func (c *NetClient) exchange(req *request, resp *response) error {
 	bp := getFrameBuf()
 	buf := beginFrame((*bp)[:0])
 	buf, err := appendRequest(buf, req)
