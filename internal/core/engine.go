@@ -66,12 +66,6 @@ type Config struct {
 	// InPlaceThreshold is the fraction of a file an in-place update must
 	// rewrite before delta encoding is attempted on it (default 0.5).
 	InPlaceThreshold float64
-	// DeltaWorkers bounds the pool that runs triggered delta encodings off
-	// the operation path (default GOMAXPROCS). The pool changes wall-clock
-	// behaviour only: every queue/version decision still happens at the
-	// serial algorithm's sequence points, so reported traffic and CPU ticks
-	// are identical to a fully serial engine.
-	DeltaWorkers int
 	// DisableDelta turns off every delta-encoding trigger (relation table
 	// and in-place), leaving pure NFS-like file RPC. Ablation knob: it
 	// quantifies what the adaptive combination buys over interception
@@ -212,7 +206,7 @@ func New(cfg Config) (*Engine, error) {
 		vers:         version.NewMap(),
 		pendingDelta: make(map[string]pendingBase),
 		trashVer:     make(map[string]version.ID),
-		pool:         newDeltaPool(cfg.DeltaWorkers),
+		pool:         newDeltaPool(),
 		clientID:     id,
 		syncMeter:    cfg.SyncMeter,
 	}

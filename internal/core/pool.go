@@ -32,13 +32,12 @@ type deltaJob struct {
 	commit  func()
 }
 
-// newDeltaPool returns a pool with the given worker bound (GOMAXPROCS when
-// non-positive).
-func newDeltaPool(workers int) *deltaPool {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return &deltaPool{sem: make(chan struct{}, workers)}
+// newDeltaPool returns a pool of GOMAXPROCS workers. The pool changes
+// wall-clock behaviour only: every queue/version decision still happens at
+// the serial algorithm's sequence points, so reported traffic and CPU ticks
+// are identical to a fully serial engine.
+func newDeltaPool() *deltaPool {
+	return &deltaPool{sem: make(chan struct{}, runtime.GOMAXPROCS(0))}
 }
 
 // dispatch schedules compute on a pool worker and registers commit to run on

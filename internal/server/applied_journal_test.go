@@ -10,19 +10,17 @@ import (
 	"repro/internal/wire"
 )
 
-// Striped applied log, direct unit: concurrent appends against concurrent
-// snapshots must preserve (a) batch contiguity — one append's ops stay
-// adjacent in the merged order — and (b) each appender's own batch order,
-// in every observed snapshot, since both follow from contiguous sequence
-// assignment. Run under -race this also exercises the stripe-lock
-// discipline.
+// Applied log, direct unit: concurrent appends against concurrent snapshots
+// must preserve (a) batch contiguity — one append's ops stay adjacent — and
+// (b) each appender's own batch order, in every observed snapshot. Run under
+// -race this also exercises the log's locking.
 func TestAppliedLogConcurrentAppendSnapshot(t *testing.T) {
 	const (
 		writers = 8
 		batches = 100
 		perOp   = 3
 	)
-	l := newAppliedLog(8)
+	var l appliedLog
 
 	check := func(ops []AppliedOp, where string) {
 		lastBatch := make(map[int]int) // writer -> last batch index seen
@@ -88,11 +86,11 @@ func TestAppliedLogConcurrentAppendSnapshot(t *testing.T) {
 	check(final, "final snapshot")
 }
 
-// Restore must work across stripe geometries: a snapshot taken from a
-// striped server reloads into a 1-stripe one with the applied order intact,
-// and appends continue the sequence afterwards.
-func TestAppliedLogRestoreAcrossStripeCounts(t *testing.T) {
-	s1 := NewWithShards(nil, 8)
+// Restore must work across shard counts: a snapshot taken from an 8-shard
+// server reloads into the 1-shard oracle with the applied order intact, and
+// appends continue the order afterwards.
+func TestAppliedLogRestoreAcrossShardCounts(t *testing.T) {
+	s1 := newServer(nil, nil, 8)
 	cli := s1.Register()
 	for i := 1; i <= 20; i++ {
 		r := s1.Push(cli, keyedBatch(cli, uint64(i), fmt.Sprintf("f%d", i), []byte{byte(i)}))
@@ -105,12 +103,12 @@ func TestAppliedLogRestoreAcrossStripeCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2 := NewWithShards(nil, 1)
+	s2 := newServer(nil, nil, 1)
 	if err := s2.Load(&snap); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(s1.AppliedLog(), s2.AppliedLog()) {
-		t.Fatal("applied order changed across stripe-count restore")
+		t.Fatal("applied order changed across shard-count restore")
 	}
 	s2.Attach(cli)
 	if r := s2.Push(cli, keyedBatch(cli, 21, "f21", []byte{21})); r.Statuses[0] != wire.StatusOK {
@@ -124,9 +122,9 @@ func TestAppliedLogRestoreAcrossStripeCounts(t *testing.T) {
 
 // Concurrent pushes against concurrent snapshots (Save quiesces the world,
 // append holds shard locks): the final snapshot must round-trip into a
-// fresh 1-stripe server byte-identically. The -race run is the point.
+// fresh 1-shard server byte-identically. The -race run is the point.
 func TestConcurrentPushSnapshotRestore(t *testing.T) {
-	s := NewWithShards(nil, 8)
+	s := newServer(nil, nil, 8)
 	const clients = 4
 	ids := make([]uint32, clients)
 	for i := range ids {
@@ -160,7 +158,7 @@ func TestConcurrentPushSnapshotRestore(t *testing.T) {
 			if err := s.Save(&finalBuf); err != nil {
 				t.Fatal(err)
 			}
-			s2 := NewWithShards(nil, 1)
+			s2 := newServer(nil, nil, 1)
 			if err := s2.Load(&finalBuf); err != nil {
 				t.Fatal(err)
 			}

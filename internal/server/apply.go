@@ -13,9 +13,6 @@ import (
 // errConflict signals a base-version mismatch during application.
 var errConflict = errors.New("server: base version mismatch")
 
-// debugConflicts enables conflict tracing (tests only).
-var debugConflicts = false
-
 // txn applies the nodes of one batch (or one node of a non-atomic batch) and
 // can undo them. File bodies are immutable extent.File values, so the undo
 // record of a path is its old value and rollback is a map store. The caller
@@ -151,12 +148,11 @@ func (t *txn) rollback() {
 }
 
 // commit finalizes the transaction: it publishes the open builders, appends
-// to the server's striped applied-op log and, when the pusher's sharing
-// group has multiple members, retains each touched file's new value as a
-// revision for conflict resolution — a table that shares its pages with the
-// live file, never a copy. The caller still holds the batch's shard locks,
-// which is what makes the assigned commit sequence numbers agree with
-// per-path commit order (applied.go).
+// to the server's applied-op log and, when the pusher's sharing group has
+// multiple members, retains each touched file's new value as a revision for
+// conflict resolution — a table that shares its pages with the live file,
+// never a copy. The caller still holds the batch's shard locks, which is
+// what makes the log's order agree with per-path commit order.
 func (t *txn) commit() {
 	t.s.applied.append(t.ops)
 	for p, ps := range t.files {
@@ -184,10 +180,6 @@ func (t *txn) checkBase(n *wire.Node) error {
 	}
 	cur := t.s.shard(n.Path).getVer(n.Path)
 	if !version.CheckBase(cur, n.Base) {
-		if debugConflicts {
-			fmt.Printf("CONFLICT %s %s: server=%v node.Base=%v node.Ver=%v\n",
-				n.Kind, n.Path, cur, n.Base, n.Ver)
-		}
 		return errConflict
 	}
 	return nil
@@ -239,8 +231,7 @@ func (s *Server) applyNode(t *txn, n *wire.Node) error {
 		// Carried chunks enter the store only after every reference in the
 		// node has been resolved: the client built its references against
 		// the store's state at push time, and an insert could evict a chunk
-		// a later reference in this very node still needs. Per-stripe, so
-		// no server-wide lock on the push path.
+		// a later reference in this very node still needs.
 		for _, c := range n.Chunks {
 			if c.Data != nil {
 				s.storeChunk(c.Hash, append([]byte(nil), c.Data...))
@@ -426,6 +417,3 @@ func (s *Server) historyContent(path string, v version.ID) extent.File {
 	}
 	return extent.File{}
 }
-
-// EnableConflictDebug toggles conflict tracing (tests only).
-func EnableConflictDebug(on bool) { debugConflicts = on }

@@ -9,6 +9,7 @@ import (
 	"io/fs"
 	"maps"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/block"
 	"repro/internal/extent"
@@ -107,34 +108,17 @@ func (s *Server) capture() (*snapshotState, map[string]extent.File) {
 		}
 	}
 	s.clientMu.RUnlock()
-	// Quiesce the chunk store: the insert lock stops FIFO/byte changes,
-	// then each stripe lock in ascending order stops residency reads from
-	// observing the merge mid-flight.
-	s.chunkInsertMu.Lock()
-	defer s.chunkInsertMu.Unlock()
-	for i := range s.chunkStripes {
-		s.chunkStripes[i].mu.Lock()
-	}
-	defer func() {
-		for i := len(s.chunkStripes) - 1; i >= 0; i-- {
-			s.chunkStripes[i].mu.Unlock()
-		}
-	}()
-	// Merge the residency stripes into the snapshot's single chunk map; the
-	// FIFO is already global.
-	chunks := make(map[block.Strong][]byte)
-	for i := range s.chunkStripes {
-		for h, d := range s.chunkStripes[i].data {
-			chunks[h] = d
-		}
-	}
+	s.chunkMu.Lock()
+	chunks := maps.Clone(s.chunks)
+	chunkFIFO := slices.Clone(s.chunkFIFO)
+	s.chunkMu.Unlock()
 	state := &snapshotState{
 		Version:     snapshotVersion,
 		Files:       make(map[string][]byte),
 		Dirs:        make(map[string]bool),
 		Vers:        make(map[string]version.ID),
 		Chunks:      chunks,
-		ChunkFIFO:   append([]block.Strong(nil), s.chunkFIFO...),
+		ChunkFIFO:   chunkFIFO,
 		Applied:     s.applied.snapshot(),
 		NextClient:  nextClient,
 		Dedup:       make(map[uint32]snapshotReplyCache, len(refs)),
@@ -226,26 +210,16 @@ func (s *Server) Load(r io.Reader) error {
 	}
 	s.unlockAllShards()
 
-	// Restore the chunk store: the global FIFO comes back verbatim, the
-	// single snapshot map is redistributed across the residency stripes.
-	s.chunkInsertMu.Lock()
-	for i := range s.chunkStripes {
-		s.chunkStripes[i].mu.Lock()
-	}
-	for i := range s.chunkStripes {
-		s.chunkStripes[i].data = make(map[block.Strong][]byte)
-	}
 	var chunkBytes int64
-	for h, d := range state.Chunks {
-		s.chunkStripeOf(h).data[h] = d
+	for _, d := range state.Chunks {
 		chunkBytes += int64(len(d))
 	}
-	s.chunkFIFO = state.ChunkFIFO
-	s.chunkBytes.Store(chunkBytes)
-	for i := len(s.chunkStripes) - 1; i >= 0; i-- {
-		s.chunkStripes[i].mu.Unlock()
+	if state.Chunks == nil {
+		state.Chunks = make(map[block.Strong][]byte)
 	}
-	s.chunkInsertMu.Unlock()
+	s.chunkMu.Lock()
+	s.chunks, s.chunkFIFO, s.chunkBytes = state.Chunks, state.ChunkFIFO, chunkBytes
+	s.chunkMu.Unlock()
 
 	s.applied.replace(state.Applied)
 

@@ -8,13 +8,14 @@
 //
 // Server state is path-sharded (shard.go): batches touching disjoint files
 // apply concurrently, read-only RPCs take shared locks, and per-client state
-// (reply cache, outbox) lives under per-client locks, so throughput scales
-// with cores instead of serializing every RPC on one mutex.
+// (reply cache, outbox) lives under per-client locks. Everything else — the
+// chunk store and the applied-op log — sits behind one leaf mutex each.
 package server
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -76,16 +77,12 @@ type Server struct {
 
 	// The content-addressed chunk store (Seafile/Dropbox dedup), bounded to
 	// wire.ChunkStoreBudget bytes with global-FIFO eviction that clients
-	// mirror insert-for-insert (baseline.ChunkTracker). Residency is
-	// striped: resolving a chunk reference — the dedup hot path — takes
-	// only the owning stripe's lock. Inserts and evictions serialize on
-	// chunkInsertMu (ordering: chunkInsertMu, then one stripe.mu at a
-	// time), which keeps the eviction order exactly the client-visible
-	// global FIFO while never blocking concurrent reference resolution.
-	chunkInsertMu sync.Mutex
-	chunkFIFO     []block.Strong
-	chunkStripes  [chunkStripeCount]chunkStripe
-	chunkBytes    atomic.Int64
+	// mirror insert-for-insert (baseline.ChunkTracker). chunkMu guards the
+	// residency map, the FIFO (insertion order) and the resident byte count.
+	chunkMu    sync.Mutex
+	chunks     map[block.Strong][]byte
+	chunkFIFO  []block.Strong
+	chunkBytes int64
 
 	// clients is the per-client state registry; groups indexes the sharing
 	// groups (forwarding scope) by group ID. Both are guarded by clientMu.
@@ -94,10 +91,9 @@ type Server struct {
 	groups     map[uint32]*groupInfo
 	nextClient uint32
 
-	// applied records the order in which content-bearing nodes were
-	// committed, for the upload-ordering experiment (Table IV). Striped
-	// (applied.go) so commits never funnel through one global mutex.
-	applied *appliedLog
+	// applied records the order in which operations were committed, for
+	// the upload-ordering experiment (Table IV) and the snapshot.
+	applied appliedLog
 
 	// journal, when set, is the durable push WAL: every batch is recorded
 	// before it is applied, under the batch's shard locks, so a replay
@@ -132,71 +128,79 @@ type AppliedOp struct {
 	Path string
 }
 
-// Options tunes a server's concurrency structure.
+// appliedLog is the applied-op log: every committed operation, in commit
+// order. A transaction appends its ops while it still holds its batch's
+// shard locks, so two batches touching the same path appear in the order
+// they committed, and one batch's ops stay adjacent.
+type appliedLog struct {
+	mu  sync.Mutex
+	ops []AppliedOp
+}
+
+func (l *appliedLog) append(ops []AppliedOp) {
+	l.mu.Lock()
+	l.ops = append(l.ops, ops...)
+	l.mu.Unlock()
+}
+
+func (l *appliedLog) snapshot() []AppliedOp {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return slices.Clone(l.ops)
+}
+
+// replace resets the log to exactly ops (snapshot restore).
+func (l *appliedLog) replace(ops []AppliedOp) {
+	l.mu.Lock()
+	l.ops = ops
+	l.mu.Unlock()
+}
+
+// Options configures a server.
 type Options struct {
-	// Shards is the file-state stripe count (0 → DefaultShards, rounded up
-	// to a power of two, minimum 1).
-	Shards int
 	// FS is the file-IO layer snapshots (SaveFile/LoadFile) write
 	// through. nil means the real file system; the crash-point harness
 	// substitutes a storagefault.SimDisk or Injector.
 	FS storagefault.FS
 }
 
-// New returns an empty server with DefaultShards stripes, charging CPU work
-// to meter (may be nil).
+// New returns an empty server, charging CPU work to meter (may be nil).
 func New(meter *metrics.CPUMeter) *Server {
-	return NewWithShards(meter, DefaultShards)
+	return NewWithOptions(meter, Options{})
 }
 
-// NewWithShards returns an empty server with the given stripe count (rounded
-// up to a power of two, minimum 1). A 1-shard server serializes every batch
-// on a single lock — the global-lock configuration the property tests use as
-// oracle; it also gets a 1-stripe applied log, completing the "one global
-// mutex" oracle shape.
-func NewWithShards(meter *metrics.CPUMeter, shards int) *Server {
-	if shards < 1 {
-		shards = 1
-	}
-	return NewWithOptions(meter, Options{Shards: shards})
-}
-
-// NewWithOptions returns an empty server with an explicit concurrency
-// configuration. The applied-op log gets one stripe per file-state shard.
+// NewWithOptions is New with an explicit snapshot file-IO layer.
 func NewWithOptions(meter *metrics.CPUMeter, o Options) *Server {
-	shards := o.Shards
-	if shards <= 0 {
-		shards = DefaultShards
-	}
+	return newServer(meter, o.FS, DefaultShards)
+}
+
+// newServer returns an empty server with the given file-state shard count,
+// rounded up to a power of two (minimum 1). A 1-shard server serializes
+// every batch on a single lock: the global-lock oracle the property tests
+// compare the sharded server against.
+func newServer(meter *metrics.CPUMeter, fsys storagefault.FS, shards int) *Server {
 	n := 1
 	for n < shards {
 		n <<= 1
 	}
-	fsys := o.FS
 	if fsys == nil {
 		fsys = storagefault.OS
 	}
 	s := &Server{
 		shards:    make([]*fileShard, n),
 		shardMask: uint32(n - 1),
+		chunks:    make(map[block.Strong][]byte),
 		clients:   make(map[uint32]*clientState),
 		groups:    make(map[uint32]*groupInfo),
-		applied:   newAppliedLog(n),
 		fsys:      fsys,
 		meter:     meter,
 	}
 	for i := range s.shards {
 		s.shards[i] = newFileShard()
 	}
-	for i := range s.chunkStripes {
-		s.chunkStripes[i].data = make(map[block.Strong][]byte)
-	}
 	s.shard(".").dirs["."] = true
 	return s
 }
-
-// ShardCount returns the number of file-state stripes.
-func (s *Server) ShardCount() int { return len(s.shards) }
 
 // enterDegraded switches the server into read-only degraded mode. The first
 // reason wins; later failures while already degraded are redundant.
@@ -310,21 +314,6 @@ func (s *Server) SeedFile(path string, content []byte) {
 	sh.unlockOne()
 }
 
-// chunkStripeCount stripes the chunk residency maps (power of two). Purely
-// a lock-granularity knob: eviction order is global and unaffected.
-const chunkStripeCount = 8
-
-// chunkStripe is one lock stripe of the chunk store's residency map.
-type chunkStripe struct {
-	mu   sync.Mutex
-	data map[block.Strong][]byte
-}
-
-// chunkStripeOf returns the stripe owning h.
-func (s *Server) chunkStripeOf(h block.Strong) *chunkStripe {
-	return &s.chunkStripes[int(h[0])&(chunkStripeCount-1)]
-}
-
 // SeedChunk installs a content-addressed chunk in the server's chunk store
 // outside the measured run (matching a client primed to treat the chunk as
 // server-known).
@@ -334,48 +323,32 @@ func (s *Server) SeedChunk(h block.Strong, data []byte) {
 
 // storeChunk inserts a chunk, evicting global-FIFO past the budget.
 // Re-inserting a resident chunk is a no-op (matching the client-side
-// tracker). chunkInsertMu serializes inserts so the FIFO — the order the
-// client tracker replays — is exactly the insertion order the pushes
-// committed in; stripe locks are taken one at a time underneath it, only
-// around map mutation.
+// tracker). The FIFO — the order the client tracker replays — is the order
+// the inserts took chunkMu in.
 func (s *Server) storeChunk(h block.Strong, data []byte) {
-	s.chunkInsertMu.Lock()
-	defer s.chunkInsertMu.Unlock()
-	st := s.chunkStripeOf(h)
-	st.mu.Lock()
-	_, resident := st.data[h]
-	if !resident {
-		st.data[h] = data
-	}
-	st.mu.Unlock()
-	if resident {
+	s.chunkMu.Lock()
+	defer s.chunkMu.Unlock()
+	if _, resident := s.chunks[h]; resident {
 		return
 	}
+	s.chunks[h] = data
 	s.chunkFIFO = append(s.chunkFIFO, h)
-	s.chunkBytes.Add(int64(len(data)))
-	for s.chunkBytes.Load() > wire.ChunkStoreBudget && len(s.chunkFIFO) > 0 {
+	s.chunkBytes += int64(len(data))
+	for s.chunkBytes > wire.ChunkStoreBudget && len(s.chunkFIFO) > 0 {
 		old := s.chunkFIFO[0]
 		s.chunkFIFO = s.chunkFIFO[1:]
-		ost := s.chunkStripeOf(old)
-		ost.mu.Lock()
-		if d, ok := ost.data[old]; ok {
-			s.chunkBytes.Add(-int64(len(d)))
-			delete(ost.data, old)
-		}
-		ost.mu.Unlock()
+		s.chunkBytes -= int64(len(s.chunks[old]))
+		delete(s.chunks, old)
 	}
 }
 
-// chunk returns a copy-free reference to a resident chunk, touching only
-// the owning stripe's lock — the dedup hot path never contends with
-// inserts to other chunks. The returned slice stays valid even if the
-// chunk is evicted after the stripe lock is released: eviction drops the
-// map entry, not the backing array.
+// chunk returns a copy-free reference to a resident chunk. The slice stays
+// valid after chunkMu is released even if the chunk is then evicted:
+// eviction drops the map entry, not the backing array.
 func (s *Server) chunk(h block.Strong) ([]byte, bool) {
-	st := s.chunkStripeOf(h)
-	st.mu.Lock()
-	d, ok := st.data[h]
-	st.mu.Unlock()
+	s.chunkMu.Lock()
+	d, ok := s.chunks[h]
+	s.chunkMu.Unlock()
 	return d, ok
 }
 
@@ -429,8 +402,7 @@ func (s *Server) Dirs() []string {
 	return out
 }
 
-// AppliedLog returns the order in which operations were committed (merged
-// across the applied-log stripes, sorted by commit sequence).
+// AppliedLog returns the order in which operations were committed.
 func (s *Server) AppliedLog() []AppliedOp {
 	return s.applied.snapshot()
 }

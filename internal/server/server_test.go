@@ -2,7 +2,11 @@ package server
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/block"
@@ -505,4 +509,131 @@ func TestChunkStoreBudgetEviction(t *testing.T) {
 	// Re-carrying the data re-registers it.
 	mustOK(t, push(t, s, cli, &wire.Node{Kind: wire.NCDC, Path: "c",
 		Chunks: []wire.ChunkRef{first}, Ver: v(cli, 4)}))
+}
+
+// checkChunkStore asserts the chunk store's own bookkeeping: the byte count
+// is the residents' size and within budget, and the FIFO holds each
+// resident exactly once.
+func checkChunkStore(t *testing.T, s *Server, where string) {
+	t.Helper()
+	s.chunkMu.Lock()
+	defer s.chunkMu.Unlock()
+	var total int64
+	for _, d := range s.chunks {
+		total += int64(len(d))
+	}
+	if total != s.chunkBytes || total > wire.ChunkStoreBudget {
+		t.Errorf("%s: resident %d bytes, counted %d, budget %d", where, total, s.chunkBytes, wire.ChunkStoreBudget)
+	}
+	seen := make(map[block.Strong]bool, len(s.chunkFIFO))
+	for _, h := range s.chunkFIFO {
+		if _, ok := s.chunks[h]; !ok || seen[h] {
+			t.Errorf("%s: FIFO entry %x is not resident or repeats", where, h[:3])
+		}
+		seen[h] = true
+	}
+	if len(seen) != len(s.chunks) {
+		t.Errorf("%s: %d residents, %d in the FIFO", where, len(s.chunks), len(seen))
+	}
+}
+
+// Several clients push new chunks on disjoint paths while Save runs in a
+// loop. The store must keep exact bookkeeping, hold exactly the tail of the
+// global insertion order — a chunk whose push returned before another's
+// began was inserted first, so it may neither outlive the other nor follow
+// it in the FIFO — and round-trip through Save/Load with its FIFO.
+func TestChunkStoreConcurrentPushSave(t *testing.T) {
+	const (
+		clients   = 4
+		perClient = 40
+		chunkLen  = 100
+		resident  = 10
+	)
+	old := wire.ChunkStoreBudget
+	wire.ChunkStoreBudget = resident * chunkLen
+	defer func() { wire.ChunkStoreBudget = old }()
+
+	s := New(nil)
+	// Each push is bracketed by two ticks of a shared counter: if one
+	// push's end tick precedes another's start tick, its chunk went in first.
+	type window struct{ start, end int64 }
+	var (
+		tick    atomic.Int64
+		winMu   sync.Mutex
+		windows = make(map[block.Strong]window)
+		pushers sync.WaitGroup
+	)
+	for c := range clients {
+		id := s.Register()
+		pushers.Add(1)
+		go func() {
+			defer pushers.Done()
+			for i := range perClient {
+				h := block.Strong{byte(c), byte(i), 1}
+				ref := wire.ChunkRef{Hash: h, Len: chunkLen, Data: bytes.Repeat([]byte{byte(i)}, chunkLen)}
+				start := tick.Add(1)
+				r := push(t, s, id, &wire.Node{Kind: wire.NCDC, Path: fmt.Sprintf("c%d/f%d", c, i),
+					Chunks: []wire.ChunkRef{ref}, Ver: v(id, uint64(i+1))})
+				end := tick.Add(1)
+				if r.Statuses[0] != wire.StatusOK {
+					t.Errorf("client %d push %d: %v %s", c, i, r.Statuses[0], r.Err)
+				}
+				winMu.Lock()
+				windows[h] = window{start, end}
+				winMu.Unlock()
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { pushers.Wait(); close(done) }()
+	for saves, finished := 0, false; !finished; saves++ {
+		select {
+		case <-done:
+			finished = true
+		default:
+		}
+		var buf bytes.Buffer
+		if err := s.Save(&buf); err != nil {
+			t.Fatalf("save %d: %v", saves, err)
+		}
+		mid := New(nil)
+		if err := mid.Load(&buf); err != nil {
+			t.Fatalf("load %d: %v", saves, err)
+		}
+		checkChunkStore(t, mid, fmt.Sprintf("snapshot %d", saves))
+	}
+
+	checkChunkStore(t, s, "final")
+	if len(s.chunkFIFO) != resident {
+		t.Fatalf("%d residents, want %d", len(s.chunkFIFO), resident)
+	}
+	for i, a := range s.chunkFIFO {
+		for _, b := range s.chunkFIFO[i+1:] {
+			if windows[b].end < windows[a].start {
+				t.Errorf("FIFO has %x before %x, which was inserted first", a[:3], b[:3])
+			}
+		}
+	}
+	for h, w := range windows {
+		if _, ok := s.chunks[h]; ok {
+			continue
+		}
+		for _, r := range s.chunkFIFO {
+			if windows[r].end < w.start {
+				t.Errorf("%x is resident but was inserted before evicted %x", r[:3], h[:3])
+			}
+		}
+	}
+
+	var buf bytes.Buffer
+	if err := s.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	s2 := New(nil)
+	if err := s2.Load(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(s.chunks, s2.chunks) || !reflect.DeepEqual(s.chunkFIFO, s2.chunkFIFO) || s.chunkBytes != s2.chunkBytes {
+		t.Fatal("chunk store did not round-trip through Save/Load")
+	}
 }

@@ -31,17 +31,12 @@ import (
 //     lock set. Read-only RPCs take a single shard's RLock.
 //  3. Server.clientMu — registry lookup/insert/iteration only; no other
 //     lock is ever acquired while it is held.
-//  4. clientState.outMu — leaf; at most one held at a time.
-//  5. Server.chunkInsertMu, then chunkStripe.mu (one at a time under it;
-//     chunk() takes a single stripe lock with nothing above). Save/Load
-//     hold the insert lock plus every stripe in ascending order, with
-//     every earlier level already held.
-//  6. appliedStripe.mu — leaf; at most one held at a time (append takes
-//     exactly one stripe; snapshot/replace take one at a time, never
-//     nested — applied.go).
-//  7. Journal.mu — leaf; taken under the batch's shard locks on the push
-//     path (WAL-before-apply) and with the full quiesce set held during
-//     Save's journal-boundary capture.
+//  4. Journal.mu — taken under the batch's shard locks on the push path
+//     (WAL-before-apply) and with the full quiesce set held during Save's
+//     journal-boundary capture; no server lock is acquired under it.
+//  5. The leaf mutexes — clientState.outMu, Server.chunkMu,
+//     appliedLog.mu: at most one of them held at a time, and no lock is
+//     acquired under any of them.
 
 // DefaultShards is the number of file-state stripes. Fixed and power-of-two
 // so shardFor is a mask, large enough that 16 concurrent clients on random

@@ -216,9 +216,9 @@ func TestShardedMatchesGlobalLockOracle(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			t.Parallel()
 			sharded := New(nil)
-			oracle := NewWithShards(nil, 1)
-			if oracle.ShardCount() != 1 {
-				t.Fatalf("oracle has %d shards, want 1", oracle.ShardCount())
+			oracle := newServer(nil, nil, 1)
+			if len(oracle.shards) != 1 {
+				t.Fatalf("oracle has %d shards, want 1", len(oracle.shards))
 			}
 
 			// Register the same client IDs on both servers, then generate
@@ -511,13 +511,17 @@ func TestOutboxBackpressureSignaled(t *testing.T) {
 	}
 }
 
-// NewWithShards must round up to a power of two and never go below 1.
-func TestNewWithShardsRounding(t *testing.T) {
+// newServer must round the shard count up to a power of two and never go
+// below 1; New gets DefaultShards.
+func TestShardCountRounding(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{
 		{0, 1}, {1, 1}, {2, 2}, {3, 4}, {5, 8}, {64, 64}, {65, 128},
 	} {
-		if got := NewWithShards(nil, tc.in).ShardCount(); got != tc.want {
-			t.Errorf("NewWithShards(%d) → %d shards, want %d", tc.in, got, tc.want)
+		if got := len(newServer(nil, nil, tc.in).shards); got != tc.want {
+			t.Errorf("newServer(%d) → %d shards, want %d", tc.in, got, tc.want)
 		}
+	}
+	if got := len(New(nil).shards); got != DefaultShards {
+		t.Errorf("New → %d shards, want %d", got, DefaultShards)
 	}
 }

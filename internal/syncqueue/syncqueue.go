@@ -115,11 +115,10 @@ type group struct {
 	start, end uint64
 }
 
-// Queue is the Sync Queue. It is not safe for concurrent use; the engine
-// serializes access. (The paper builds it on a lock-free queue so the FUSE
-// threads never block; internal/lockfree provides that primitive, and the
-// concurrent client engine uses it for op handoff — the queue bookkeeping
-// itself is single-threaded either way.)
+// Queue is the Sync Queue. It is not safe for concurrent use: the engine
+// calls it only under its own mutex. (The paper builds it on a lock-free
+// queue so the FUSE threads never block; here one engine mutex serializes
+// every intercepted operation, so there is no second thread to hand off to.)
 type Queue struct {
 	delay time.Duration
 
@@ -592,19 +591,6 @@ func (q *Queue) StableWrite(path, basePath string) *Node {
 		}
 	}
 	return w
-}
-
-// WritePayload returns the payload size of path's most recent pending write
-// node (0 if none) — what the in-place delta optimization compares a
-// candidate delta against.
-func (q *Queue) WritePayload(path string) int64 {
-	for i := len(q.nodes) - 1; i >= q.head; i-- {
-		n := q.nodes[i]
-		if n != nil && n.Kind == KindWrite && n.Path == path {
-			return n.PayloadBytes()
-		}
-	}
-	return 0
 }
 
 // RemoveRecent removes the most recent not-yet-uploaded node of the given
