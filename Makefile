@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint bench-smoke bench-compare
+.PHONY: all build test race lint bench-smoke bench-compare mutate
 
 all: build lint test
 
@@ -21,6 +21,14 @@ race:
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/deltavet ./...
+
+# The mutation kill matrix (mutate/, a nested module): every mutant in
+# mutate/mutants.go against deltavet, the mutated package's tests, the same
+# under -race, and the chaos suite. Rewrites mutate/matrix.json and
+# mutate/matrix.md; about 40 minutes on 2 CPUs. The tree is copied to
+# .mutate_build/ first, so the checkout is never edited.
+mutate:
+	cd mutate && $(GO) run . -out matrix.json
 
 # bench/ is a nested module the targets above skip: its own smoke test runs
 # every workload once at a small size and checks it against BENCHMARK.json.

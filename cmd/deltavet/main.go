@@ -1,9 +1,9 @@
-// Command deltavet is the project's multichecker: it runs the ten
-// invariant analyzers (lockorder, blockunderlock, detreplay, errsync,
-// crashsafe, wiretaint, atomicsafe, poolsafe, leakcheck, racecheck) over
-// the packages named on the command line and exits non-zero if any
-// unsuppressed finding remains. CI runs it alongside `go vet` and the
-// full-module race detector:
+// Command deltavet is the project's multichecker: it runs the six
+// invariant analyzers (blockunderlock, errsync, crashsafe, atomicsafe,
+// leakcheck, racecheck) over the packages named on the command line and
+// exits non-zero if any unsuppressed finding remains. Each one stays because
+// it alone kills at least one mutant in mutate/matrix.md. CI runs it
+// alongside `go vet` and the full-module race detector:
 //
 //	go run ./cmd/deltavet ./...
 //
@@ -56,23 +56,10 @@ import (
 	"repro/internal/analysis/atomicsafe"
 	"repro/internal/analysis/blockunderlock"
 	"repro/internal/analysis/crashsafe"
-	"repro/internal/analysis/detreplay"
 	"repro/internal/analysis/errsync"
 	"repro/internal/analysis/leakcheck"
-	"repro/internal/analysis/lockorder"
-	"repro/internal/analysis/poolsafe"
 	"repro/internal/analysis/racecheck"
-	"repro/internal/analysis/wiretaint"
 )
-
-// replayScope is the set of package suffixes detreplay applies to: the
-// paths the chaos oracle and pipeline-equivalence tests replay bit-for-bit.
-var replayScope = []string{
-	"internal/rsync",
-	"internal/core",
-	"internal/chaos",
-	"internal/server",
-}
 
 // crashsafeScope is where the write->fsync->rename / log->sync->apply
 // discipline is load-bearing: everything that persists state.
@@ -84,17 +71,6 @@ var crashsafeScope = []string{
 	"cmd/deltacfs-server",
 }
 
-// wiretaintScope is where wire-decoded values can reach allocations,
-// slicing, or the filesystem: the codec itself plus every consumer of
-// decoded messages.
-var wiretaintScope = []string{
-	"internal/wire",
-	"internal/server",
-	"internal/core",
-	"internal/rsync",
-	"internal/kvstore",
-}
-
 // leakcheckScope is where fds, tickers, and goroutines churn at scale: the
 // bounded transport, the chaos harness, and the server. A leak per accept
 // multiplied by 10k clients is an fd-exhaustion outage.
@@ -104,9 +80,9 @@ var leakcheckScope = []string{
 	"internal/server",
 }
 
-// racecheckScope is where shared mutable state lives behind the stripe and
-// per-client locks: the sharded server (including the chunk and applied
-// stores), the kvstore, the sync engine, and the transport.
+// racecheckScope is where shared mutable state lives behind locks: the
+// sharded server (shard, client-registry and leaf mutexes), the kvstore, the
+// sync engine, and the transport.
 var racecheckScope = []string{
 	"internal/server",
 	"internal/kvstore",
@@ -348,22 +324,13 @@ func writeJSON(w io.Writer, diags []analysis.Diagnostic) error {
 	return enc.Encode(out)
 }
 
-// analyzersFor selects the analyzers for one package: the concurrency,
-// durability, and shared-state checkers run everywhere; detreplay,
-// crashsafe, wiretaint, and leakcheck only on their scoped paths.
+// analyzersFor selects the analyzers for one package: blockunderlock,
+// errsync and atomicsafe run everywhere; crashsafe, leakcheck and racecheck
+// only on their scoped paths.
 func analyzersFor(pkgPath string) []*analysis.Analyzer {
-	as := []*analysis.Analyzer{
-		lockorder.Analyzer, blockunderlock.Analyzer, errsync.Analyzer,
-		atomicsafe.Analyzer, poolsafe.Analyzer,
-	}
-	if inScope(pkgPath, replayScope) {
-		as = append(as, detreplay.Analyzer)
-	}
+	as := []*analysis.Analyzer{blockunderlock.Analyzer, errsync.Analyzer, atomicsafe.Analyzer}
 	if inScope(pkgPath, crashsafeScope) {
 		as = append(as, crashsafe.Analyzer)
-	}
-	if inScope(pkgPath, wiretaintScope) {
-		as = append(as, wiretaint.Analyzer)
 	}
 	if inScope(pkgPath, leakcheckScope) {
 		as = append(as, leakcheck.Analyzer)

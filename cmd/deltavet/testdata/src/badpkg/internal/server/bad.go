@@ -1,36 +1,20 @@
 // Package server is the deltavet integration fixture: one package that
-// violates all four invariants. Its path ends in internal/server so the
-// suffix-scoped analyzers treat it like the real server package. It lives
-// under testdata so wildcard builds skip it, but it must stay compilable —
-// the driver type-checks it for real.
+// violates every invariant the driver checks. Its path ends in
+// internal/server so the suffix-scoped analyzers treat it like the real
+// server package. It lives under testdata so wildcard builds skip it, but it
+// must stay compilable — the driver type-checks it for real.
 package server
 
 import (
 	"sync"
-	"time"
 
 	"repro/internal/kvstore"
 )
 
-type fileShard struct {
-	mu    sync.RWMutex
-	files map[string][]byte
-}
-
 type Server struct {
-	mu     sync.Mutex
-	shards []*fileShard
-	ch     chan string
-	kv     *kvstore.Store
-}
-
-// BadDirectShardLock violates lockorder twice over: direct write locks on
-// shard mutexes, and a second shard acquired while the first is held.
-func (s *Server) BadDirectShardLock() {
-	s.shards[0].mu.Lock()
-	s.shards[1].mu.RLock()
-	s.shards[1].mu.RUnlock()
-	s.shards[0].mu.Unlock()
+	mu sync.Mutex
+	ch chan string
+	kv *kvstore.Store
 }
 
 // BadSendUnderLock violates blockunderlock: a channel send while s.mu is
@@ -41,27 +25,13 @@ func (s *Server) BadSendUnderLock(v string) {
 	s.ch <- v
 }
 
-// BadStamp violates detreplay: a wall-clock read on a replay-scoped path.
-func (s *Server) BadStamp() int64 {
-	return time.Now().UnixNano()
-}
-
-// AllowedStamp is the same violation with an inline allow; the integration
-// test asserts the driver suppresses it.
-func (s *Server) AllowedStamp() int64 {
-	return time.Now().UnixNano() //deltavet:allow detreplay metrics-only stamp, never replayed
-}
-
-// BadList violates detreplay: map iteration order escapes into the result.
-func (s *Server) BadList() []string {
-	var out []string
-	for p := range s.shards[0].files {
-		out = append(out, p)
-	}
-	return out
-}
-
 // BadDropError violates errsync: a WAL write with its error discarded.
 func (s *Server) BadDropError() {
 	_ = s.kv.Put([]byte("k"), nil)
+}
+
+// AllowedDropError is the same violation with an inline allow; the
+// integration test asserts the driver suppresses it.
+func (s *Server) AllowedDropError() {
+	_ = s.kv.Put([]byte("k"), nil) //deltavet:allow errsync best-effort write, the next commit retries
 }

@@ -3,8 +3,6 @@ package server
 import (
 	"os"
 	"path/filepath"
-
-	"repro/internal/wire"
 )
 
 // BadSnapshot violates crashsafe twice: the temp file is renamed with no
@@ -16,29 +14,6 @@ func BadSnapshot(dir string, data []byte) error {
 		return err
 	}
 	return os.Rename(tmp, filepath.Join(dir, "state"))
-}
-
-// BadWireAlloc violates wiretaint: a wire-decoded size feeds an allocation
-// with no bounds check.
-func BadWireAlloc(n *wire.Node) []byte {
-	return make([]byte, n.Size)
-}
-
-// BadDecoderSplice is a codec reader with its take-gate deleted: a
-// wire-decoded extent offset slices the raw frame unchecked — the shape a
-// fuzz crasher in the binary decoder takes.
-func BadDecoderSplice(e *wire.Extent, frame []byte) []byte {
-	return frame[e.Off:]
-}
-
-// growBuf has no wire value in sight; its finding exists only because
-// BadWireForward feeds it one — reachable only interprocedurally.
-func growBuf(n int) []byte {
-	return make([]byte, n)
-}
-
-func BadWireForward(n *wire.Node) []byte {
-	return growBuf(int(n.Size))
 }
 
 // notify does the channel send; the blockunderlock finding at the call in

@@ -1,12 +1,10 @@
-// Seeded violations of the scale-path invariants (PR 6-8 conventions):
-// copy-on-write publication, pooled-buffer lifecycle, and resource release.
-// The driver integration test asserts atomicsafe, poolsafe, and leakcheck
-// each catch their bug here.
+// Seeded violations of the scale-path invariants: copy-on-write publication
+// and resource release. The driver integration test asserts atomicsafe and
+// leakcheck each catch their bug here.
 package server
 
 import (
 	"net"
-	"sync"
 	"sync/atomic"
 )
 
@@ -33,17 +31,6 @@ func (r *Registry) BadPublishThenMutate(id uint32, name string) {
 func (r *Registry) BadLoadMutate(id uint32) {
 	cur := r.cur.Load()
 	delete(cur.members, id)
-}
-
-var scratchPool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
-
-// BadUseAfterPut returns the buffer to the pool and then reads it — by the
-// read, a concurrent encoder may already own and be rewriting the bytes.
-func BadUseAfterPut(payload []byte) byte {
-	bp := scratchPool.Get().(*[]byte)
-	*bp = append((*bp)[:0], payload...)
-	scratchPool.Put(bp)
-	return (*bp)[0]
 }
 
 // BadDialLeak drops the connection on the timeout-config path: under load

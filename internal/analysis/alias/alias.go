@@ -1,5 +1,5 @@
 // Package alias is the shared value-tracking layer under the scale-path
-// analyzers (atomicsafe, poolsafe, leakcheck). It answers two questions the
+// analyzers (atomicsafe, leakcheck). It answers two questions the
 // per-analyzer CFG dataflows cannot answer alone:
 //
 //  1. Intraprocedurally — which locals may hold a tracked value? Track
@@ -208,9 +208,6 @@ func (t *Tracker) SeedsOf(obj types.Object) []*Seed {
 	}
 	return out
 }
-
-// Aliases reports whether obj may alias s.
-func (t *Tracker) Aliases(obj types.Object, s *Seed) bool { return t.objs[obj][s] }
 
 // ExprSeeds returns the seeds the value of e may alias: direct seed match,
 // a tagged identifier at its root, or a value-preserving derivation of one.

@@ -1,7 +1,7 @@
 // Package analysis is a small, dependency-free stand-in for
 // golang.org/x/tools/go/analysis: just enough multichecker plumbing to run
-// the project's invariant analyzers (lockorder, blockunderlock, detreplay,
-// errsync) over type-checked packages. The module is deliberately
+// the project's invariant analyzers (cmd/deltavet lists them) over
+// type-checked packages. The module is deliberately
 // self-contained (no external deps), so instead of vendoring x/tools this
 // package reimplements the three pieces the analyzers need: an Analyzer/Pass
 // API, a package loader (load.go) built on `go list -export` plus the

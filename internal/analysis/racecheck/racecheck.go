@@ -26,8 +26,8 @@
 //     `s.shards[i].mu` guarding `s.shards[i].files` is recognized through
 //     receiver aliases and shard-slice indexing without instance-sensitive
 //     points-to analysis (the standard RacerD coarsening: a lock on stripe
-//     A "covers" an access to stripe B — cross-stripe confusion is the
-//     lockorder analyzer's domain, not this one's). Per struct field, every
+//     A "covers" an access to stripe B — cross-stripe confusion is left to
+//     the tests). Per struct field, every
 //     access in the module votes for the locks held at that access; a lock
 //     held at a strict majority of the non-exempt sites (and at least two
 //     of them) becomes the field's inferred guard. An explicit
@@ -87,9 +87,10 @@ import (
 // declare the field deliberately unguarded.
 const GuardMark = "deltavet:guardedby"
 
-// helperMark mirrors lockorder's sanctioned-acquisition-helper directive:
-// the annotated function's lock effects are summarized with may semantics
-// (its acquisition loops defeat a must-analysis).
+// helperMark marks the shard lock-set helpers (the only functions that take
+// several shard locks, in ascending order): the annotated function's lock
+// effects are summarized with may semantics (its acquisition loops defeat a
+// must-analysis).
 const helperMark = "deltavet:lockorder-helper"
 
 // Analyzer is the racecheck checker.

@@ -39,7 +39,7 @@ func TestParseAllowFileTrailingComment(t *testing.T) {
 	path := filepath.Join(dir, "deltavet.allow")
 	content := "# header comment\n" +
 		"errsync repro/internal/x Store.flush fsync error handled by caller # reviewed 2026-08\n" +
-		"poolsafe repro/internal/y Buf.get plain reason words\n"
+		"leakcheck repro/internal/y Buf.get plain reason words\n"
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestParseAllowFileCRLF(t *testing.T) {
 	content := "# header\r\n" +
 		"\r\n" +
 		"errsync repro/internal/x Store.flush fsync error handled by caller\r\n" +
-		"wiretaint repro/internal/y decode bounds checked at the boundary # note\r\n"
+		"crashsafe repro/internal/y decode bounds checked at the boundary # note\r\n"
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}

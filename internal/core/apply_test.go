@@ -294,3 +294,34 @@ func TestConflictCopyGoesThroughStaging(t *testing.T) {
 		})
 	}
 }
+
+// A forwarded batch is wire input: the client must not trust the server to
+// have validated it. A batch carrying a parent-traversing or absolute path
+// is rejected whole, so neither its hostile node nor its valid one lands,
+// inside the sync root or outside it.
+func TestApplyRemoteRejectsEscapingPaths(t *testing.T) {
+	for _, hostile := range []string{"../escape", "/abs"} {
+		disk := storagefault.NewSimDisk()
+		dirfs, err := vfs.NewDirFSWith(disk, "sync")
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := New(Config{Backing: dirfs, Endpoint: server.NewLoopback(server.New(nil), nil, nil), Clock: &clock.Clock{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ver := version.ID{Client: 99, Count: 1}
+		eng.applyRemote(&wire.Batch{Client: 99, Nodes: []*wire.Node{
+			{Kind: wire.NCreate, Path: "ok", Ver: ver},
+			{Kind: wire.NCreate, Path: hostile, Ver: ver},
+		}})
+		if n := eng.Stats().RemoteApplied; n != 0 {
+			t.Errorf("%s: %d nodes of a malformed batch applied", hostile, n)
+		}
+		for _, name := range []string{"escape", "sync/escape", "sync/abs", "abs", "sync/ok"} {
+			if _, err := disk.Stat(name); err == nil {
+				t.Errorf("%s: malformed batch created %s", hostile, name)
+			}
+		}
+	}
+}

@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// TestConcurrentOpsStress fires concurrent WriteAt/Rename/Close/Tick at one
+// TestConcurrentOpsStress fires concurrent WriteAt/Truncate/Rename/Close/Tick at one
 // engine while triggered delta encodings are in flight on the worker pool,
 // then checks the queue and accounting invariants the pool must preserve:
 // after a drain nothing is left queued or buffered, no push failed, and
@@ -89,7 +89,8 @@ func TestConcurrentOpsStress(t *testing.T) {
 		}(i)
 
 		// In-place updater: rewrite the whole file with small edits and
-		// close (the SQLite pattern — in-place-triggered delta).
+		// close (the SQLite pattern — in-place-triggered delta). Odd rounds
+		// first cut the file in half, so Truncate races the ticks too.
 		writerWG.Add(1)
 		go func(i int) {
 			defer writerWG.Done()
@@ -97,6 +98,12 @@ func TestConcurrentOpsStress(t *testing.T) {
 			content := dbBase[i]
 			for round := 0; round < 5; round++ {
 				content = tweak(content, int64(i*77+round))
+				if round%2 == 1 {
+					if err := fs.Truncate(db, int64(len(content)/2)); err != nil {
+						t.Error(err)
+						return
+					}
+				}
 				if err := fs.WriteAt(db, 0, content); err != nil {
 					t.Error(err)
 					return

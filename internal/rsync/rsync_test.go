@@ -272,6 +272,16 @@ func TestPatchRejectsBadCopyRange(t *testing.T) {
 	if _, err := Patch(make([]byte, 10), d2, nil); err == nil {
 		t.Fatal("Patch accepted negative offset")
 	}
+	// The boundary: a copy ending exactly at the base's end is valid, one
+	// byte further is not.
+	edge := &Delta{TargetLen: 5, Ops: []Op{{Kind: OpCopy, Off: 0, Len: 5}}}
+	if err := edge.Check(5); err != nil {
+		t.Fatalf("Check rejected a copy ending at the base's end: %v", err)
+	}
+	past := &Delta{TargetLen: 5, Ops: []Op{{Kind: OpCopy, Off: 1, Len: 5}}}
+	if err := past.Check(5); err == nil {
+		t.Fatal("Check accepted a copy ending one byte past the base")
+	}
 }
 
 func TestPatchRejectsWrongLength(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/rsync"
@@ -262,6 +263,13 @@ func TestReadFrameRejectsHostileFrames(t *testing.T) {
 			t.Errorf("%s: hostile frame accepted", name)
 		}
 	}
+	// An oversized length is refused on the header alone, before a buffer
+	// of that size exists: the payload is never read.
+	over := bytes.NewReader(cases["oversized length"])
+	readFrame(over, nil)
+	if over.Len() != len(good)-frameHeaderSize {
+		t.Error("oversized frame: payload read before the length was refused")
+	}
 }
 
 func TestDecodeBatchRejectsHostilePayloads(t *testing.T) {
@@ -289,14 +297,30 @@ func TestDecodeBatchRejectsHostilePayloads(t *testing.T) {
 	}
 	// A count that is plausible per-element but exceeds MaxBatchNodes must
 	// also die: build a payload claiming MaxBatchNodes+1 minimal nodes.
-	huge := appendU32(nil, 1)             // client
-	huge = appendU64(huge, 1)             // seq
-	huge = append(huge, 0)                // flags
-	huge = append(huge, 1)                // nodes present
+	huge := appendU32(nil, 1) // client
+	huge = appendU64(huge, 1) // seq
+	huge = append(huge, 0)    // flags
+	huge = append(huge, 1)    // nodes present
 	huge = appendU32(huge, MaxBatchNodes+1)
 	huge = append(huge, make([]byte, (MaxBatchNodes+1)*minNodeSize)...)
 	if _, err := DecodeBatchPayload(huge, false); err == nil {
 		t.Error("batch above MaxBatchNodes accepted")
+	}
+	// A hostile count is refused before it sizes an allocation: a tiny
+	// payload claiming 2M extents must not cost 64 MiB of make first.
+	one := &Batch{Nodes: []*Node{{Kind: NWrite, Path: "f", Extents: []Extent{{Off: 0x0102030405060708, Data: []byte{1}}}}}}
+	claim := AppendBatch(nil, one)
+	at := bytes.Index(claim, []byte{8, 7, 6, 5, 4, 3, 2, 1})
+	binary.LittleEndian.PutUint32(claim[at-4:], 1<<21)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeBatchPayload(claim, false)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Error("hostile extent count accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("hostile extent count allocated %d bytes before it was refused", grew)
 	}
 }
 
@@ -317,11 +341,11 @@ func TestDecodeResponseRejectsHostilePayloads(t *testing.T) {
 
 func TestDecodeRequestRejectsHostilePayloads(t *testing.T) {
 	cases := map[string][]byte{
-		"empty":       {},
-		"wrong kind":  {msgResponse, opPoll},
-		"unknown op":  {msgRequest, 0xee},
-		"trailing":    {msgRequest, opPoll, 0x00},
-		"cut attach":  {msgRequest, opAttach, 1, 2},
+		"empty":         {},
+		"wrong kind":    {msgResponse, opPoll},
+		"unknown op":    {msgRequest, 0xee},
+		"trailing":      {msgRequest, opPoll, 0x00},
+		"cut attach":    {msgRequest, opAttach, 1, 2},
 		"push no batch": {msgRequest, opPush},
 	}
 	for name, payload := range cases {

@@ -87,17 +87,6 @@ func (p *connPoller) remove(pc *polledConn) {
 	syscall.EpollCtl(p.epfd, syscall.EPOLL_CTL_DEL, int(pc.fd), nil)
 }
 
-// snapshot returns the currently registered connections (idle sweeping).
-func (p *connPoller) snapshot() []*polledConn {
-	p.mu.Lock()
-	out := make([]*polledConn, 0, len(p.conns))
-	for _, pc := range p.conns {
-		out = append(out, pc)
-	}
-	p.mu.Unlock()
-	return out
-}
-
 // wait blocks for readiness events and resolves them to live connections.
 // It returns an error once the poller is closed.
 func (p *connPoller) wait() ([]*polledConn, error) {

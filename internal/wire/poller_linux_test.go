@@ -35,7 +35,7 @@ func TestServeShutdownLeaksNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		served := make(chan error, 1)
-		go func() { served <- ServeWith(lis, newFakeBackend(), ServeConfig{Workers: 2}) }()
+		go func() { served <- ServeWith(lis, newFakeBackend(), ServeConfig{}) }()
 		c, err := DialWith(lis.Addr().String(), DialOpts{OpTimeout: time.Minute})
 		if err != nil {
 			t.Fatalf("round %d: dial: %v", i, err)

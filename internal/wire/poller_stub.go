@@ -17,7 +17,6 @@ func newConnPoller() (*connPoller, error) {
 func (p *connPoller) add(pc *polledConn) error     { return errors.New("wire: no poller") }
 func (p *connPoller) rearm(pc *polledConn) error   { return errors.New("wire: no poller") }
 func (p *connPoller) remove(pc *polledConn)        {}
-func (p *connPoller) snapshot() []*polledConn      { return nil }
 func (p *connPoller) wait() ([]*polledConn, error) { return nil, errors.New("wire: no poller") }
 func (p *connPoller) close()                       {}
 func (p *connPoller) release()                     {}

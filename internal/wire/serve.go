@@ -53,9 +53,9 @@ func (s *ServeStats) Fallback() int64 { return s.fallback.Load() }
 // Requests returns the total number of requests served.
 func (s *ServeStats) Requests() int64 { return s.requests.Load() }
 
-// defaultServeWorkers sizes the worker pool when the config leaves it zero:
-// enough parallelism to keep every core busy and ride out short blocking
-// (journal group-commit waits), while staying O(cores), not O(clients).
+// defaultServeWorkers sizes the worker pool: enough parallelism to keep
+// every core busy and ride out short blocking (journal group-commit waits),
+// while staying O(cores), not O(clients).
 func defaultServeWorkers() int {
 	n := 4 * runtime.GOMAXPROCS(0)
 	if n < 16 {
@@ -80,10 +80,7 @@ type serveState struct {
 }
 
 func newServeState(backend Backend, cfg ServeConfig) *serveState {
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = defaultServeWorkers()
-	}
+	workers := defaultServeWorkers()
 	stats := cfg.Stats
 	if stats == nil {
 		stats = &ServeStats{}
@@ -101,9 +98,6 @@ func newServeState(backend Backend, cfg ServeConfig) *serveState {
 			go s.worker()
 		}
 		go s.dispatchLoop()
-		if cfg.IdleTimeout > 0 {
-			go s.idleSweeper()
-		}
 	}
 	return s
 }
@@ -148,7 +142,6 @@ func (s *serveState) admitPolled(tc *net.TCPConn) error {
 		fd:   fd,
 		cc:   &connCodec{conn: tc, br: bufio.NewReader(tc)},
 	}
-	pc.lastActive.Store(time.Now().UnixNano())
 	return s.poller.add(pc)
 }
 
@@ -182,31 +175,6 @@ func (s *serveState) dispatchLoop() {
 			case s.work <- pc:
 			case <-s.quit:
 				return
-			}
-		}
-	}
-}
-
-// idleSweeper enforces ServeConfig.IdleTimeout for parked polled
-// connections (fallback connections enforce it inline with a read
-// deadline).
-func (s *serveState) idleSweeper() {
-	period := s.cfg.IdleTimeout / 2
-	if period < time.Millisecond {
-		period = time.Millisecond
-	}
-	t := time.NewTicker(period)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.quit:
-			return
-		case <-t.C:
-			cutoff := time.Now().Add(-s.cfg.IdleTimeout).UnixNano()
-			for _, pc := range s.poller.snapshot() {
-				if !pc.busy.Load() && pc.lastActive.Load() < cutoff {
-					pc.close()
-				}
 			}
 		}
 	}
@@ -247,10 +215,8 @@ type polledConn struct {
 	token uint32 // poller registration identity (guards against fd reuse)
 	cc    *connCodec
 
-	client     uint32 // bound identity; only the owning worker touches it
-	busy       atomic.Bool
-	lastActive atomic.Int64 // unix nanos; idle sweeping
-	closeOnce  sync.Once
+	client    uint32 // bound identity; only the owning worker touches it
+	closeOnce sync.Once
 }
 
 // serveReady runs on a pool worker after a readiness event: serve requests
@@ -258,8 +224,6 @@ type polledConn struct {
 // drained before re-arming — bytes already read out of the kernel will
 // never produce another readiness event.
 func (pc *polledConn) serveReady() {
-	pc.busy.Store(true)
-	defer pc.busy.Store(false)
 	cfg := pc.srv.cfg
 	if cfg.WriteTimeout > 0 {
 		// Readiness promised at least one byte, not a whole request: bound
@@ -276,15 +240,14 @@ func (pc *polledConn) serveReady() {
 		}
 	}
 	pc.conn.SetReadDeadline(time.Time{})
-	pc.lastActive.Store(time.Now().UnixNano())
 	if err := pc.srv.poller.rearm(pc); err != nil {
 		pc.close()
 	}
 }
 
 // close deregisters the connection from the poller (while the descriptor is
-// still valid) and closes it. Idempotent: the poller, a worker, and the
-// idle sweeper can race to close.
+// still valid) and closes it. Idempotent: the poller and a worker can race
+// to close.
 func (pc *polledConn) close() {
 	pc.closeOnce.Do(func() {
 		pc.srv.poller.remove(pc)

@@ -74,13 +74,6 @@ type ServeConfig struct {
 	// each request read once the first byte has arrived, so a trickling
 	// client cannot pin a pool worker. Default 30s; negative disables.
 	WriteTimeout time.Duration
-	// IdleTimeout bounds the wait for the next request on an established
-	// connection. Zero means no idle bound (clients legitimately sit idle
-	// between sync cycles).
-	IdleTimeout time.Duration
-	// Workers fixes the size of the shared worker pool that serves
-	// multiplexed (readiness-polled) connections. 0 → defaultServeWorkers.
-	Workers int
 	// Stats, when non-nil, receives the transport's connection and request
 	// counters (tests read them to prove goroutine boundedness).
 	Stats *ServeStats
@@ -133,9 +126,6 @@ func serveConn(conn net.Conn, backend Backend, cfg ServeConfig, stats *ServeStat
 	cc := &connCodec{conn: conn, br: bufio.NewReader(conn)}
 	var client uint32
 	for {
-		if cfg.IdleTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(cfg.IdleTimeout))
-		}
 		if err := serveOne(cc, backend, cfg, stats, &client); err != nil {
 			if errors.Is(err, io.EOF) {
 				return nil
@@ -364,6 +354,13 @@ func DialWith(addr string, o DialOpts) (*NetClient, error) {
 	if err != nil {
 		return nil, &TransportError{Phase: "dial", Err: fmt.Errorf("%s: %w", addr, err)}
 	}
+	return handshake(conn, addr, o)
+}
+
+// handshake establishes a client session on a connected conn: TLS when
+// configured, the codec preamble, then register or attach. It owns conn:
+// on any failure conn is closed before the error returns.
+func handshake(conn net.Conn, addr string, o DialOpts) (*NetClient, error) {
 	if o.TLS != nil {
 		if o.OpTimeout > 0 {
 			conn.SetDeadline(time.Now().Add(o.OpTimeout))
@@ -386,7 +383,7 @@ func DialWith(addr string, o DialOpts) (*NetClient, error) {
 	if o.OpTimeout > 0 {
 		conn.SetWriteDeadline(time.Now().Add(o.OpTimeout))
 	}
-	_, err = conn.Write(codecMagic[:])
+	_, err := conn.Write(codecMagic[:])
 	if o.OpTimeout > 0 {
 		conn.SetWriteDeadline(time.Time{})
 	}

@@ -249,6 +249,38 @@ func TestDialFailure(t *testing.T) {
 	}
 }
 
+// closeRecorder records whether the conn it wraps was closed.
+type closeRecorder struct {
+	net.Conn
+	closed bool
+}
+
+func (c *closeRecorder) Close() error {
+	c.closed = true
+	return c.Conn.Close()
+}
+
+// A session that fails to establish must not leak its connection: the
+// preamble write (plaintext) or the TLS handshake fails against a peer that
+// already hung up, and handshake closes the conn it was given.
+func TestHandshakeFailureClosesConn(t *testing.T) {
+	_, clientConf, err := SelfSignedTLS()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, o := range map[string]DialOpts{"preamble": {}, "tls": {TLS: clientConf}} {
+		near, far := net.Pipe()
+		far.Close()
+		conn := &closeRecorder{Conn: near}
+		if _, err := handshake(conn, "pipe", o); err == nil {
+			t.Fatalf("%s: handshake with a closed peer succeeded", name)
+		}
+		if !conn.closed {
+			t.Fatalf("%s: failed handshake left the connection open", name)
+		}
+	}
+}
+
 func TestTransportOverTLS(t *testing.T) {
 	serverConf, clientConf, err := SelfSignedTLS()
 	if err != nil {

@@ -10,10 +10,9 @@ import (
 // network and is attacker-controlled; the server validates at the Push
 // boundary and clients validate forwarded batches before applying them, so
 // interior code (apply paths, shard routing, backing stores) can trust path
-// shape and value signs. deltavet's wiretaint analyzer enforces the
-// discipline: wire-derived lengths, offsets and paths must pass an ordered
-// bounds check or a Valid*-style call before they size an allocation, index
-// a buffer, or reach the filesystem layer.
+// shape and value signs. Tests pin both boundaries: server's
+// TestPushRejects* and core's TestApplyRemoteRejectsEscapingPaths fail when
+// the Validate call is dropped.
 
 // Validation limits. Large enough that no legitimate engine ever hits them,
 // small enough that a hostile peer cannot use a single decoded integer to
