@@ -4,8 +4,8 @@
 //
 // Usage:
 //
-//	benchall [-scale 1.0] [-exp all|fig1|fig2|table2|fig8|fig9|table3|table4|chaos|crashstorm]
-//	         [-chaos-seeds 5] [-storm-seeds 5] [-json report.json] [-allow-dirty]
+//	benchall [-scale 1.0] [-exp all|fig1|fig2|table2|fig8|fig9|table3|table4]
+//	         [-json report.json] [-allow-dirty]
 //	         [-cpuprofile cpu.pprof] [-mutexprofile mutex.pprof] [-blockprofile block.pprof]
 //
 // Scale 1.0 reproduces the paper's trace dimensions (a 131 MB SQLite file,
@@ -27,10 +27,8 @@ import (
 
 func main() {
 	scale := flag.Float64("scale", 1.0, "trace scale (1.0 = paper dimensions)")
-	exp := flag.String("exp", "all", "experiment: all|fig1|fig2|table2|fig8|fig9|table3|table4|chaos|crashstorm")
+	exp := flag.String("exp", "all", "experiment: all|fig1|fig2|table2|fig8|fig9|table3|table4")
 	iters := flag.Int("filebench-iters", 2000, "filebench iterations per personality")
-	chaosSeeds := flag.Int("chaos-seeds", 5, "chaos schedules per fault profile")
-	stormSeeds := flag.Int("storm-seeds", 5, "crash-storm seeds per storage fault profile")
 	allowDirty := flag.Bool("allow-dirty", false, "permit -json output from a dirty working tree")
 	jsonPath := flag.String("json", "", "also write the assembled numbers as JSON to this path")
 	cpuProf := flag.String("cpuprofile", "", "write a CPU profile to this path")
@@ -44,8 +42,7 @@ func main() {
 		os.Exit(1)
 	}
 	runErr := run(runOpts{
-		exp: *exp, scale: *scale, iters: *iters, chaosSeeds: *chaosSeeds, stormSeeds: *stormSeeds,
-		jsonPath: *jsonPath, allowDirty: *allowDirty,
+		exp: *exp, scale: *scale, iters: *iters, jsonPath: *jsonPath, allowDirty: *allowDirty,
 	})
 	if err := stop(); err != nil {
 		fmt.Fprintf(os.Stderr, "benchall: %v\n", err)
@@ -111,16 +108,14 @@ type runOpts struct {
 	exp        string
 	scale      float64
 	iters      int
-	chaosSeeds int
-	stormSeeds int
 	jsonPath   string
 	allowDirty bool
 }
 
 func run(o runOpts) error {
-	exp, scale, iters, chaosSeeds, jsonPath := o.exp, o.scale, o.iters, o.chaosSeeds, o.jsonPath
+	exp, scale, iters, jsonPath := o.exp, o.scale, o.iters, o.jsonPath
 	switch exp {
-	case "all", "fig1", "fig2", "table2", "fig8", "fig9", "table3", "table4", "chaos", "crashstorm":
+	case "all", "fig1", "fig2", "table2", "fig8", "fig9", "table3", "table4":
 	default:
 		return fmt.Errorf("unknown -exp %q", exp)
 	}
@@ -197,35 +192,6 @@ func run(o runOpts) error {
 		experiment.PrintTable4(out, rs)
 		fmt.Fprintln(out)
 		rep.Table4 = rs
-	}
-	// The chaos sweep is opt-in only (not part of "all"): its convergence
-	// and duplicate-apply columns are deterministic, but the raw transport
-	// counters (retries, dedup hits) depend on goroutine scheduling, which
-	// would break the byte-diff determinism of the default output.
-	if exp == "chaos" {
-		rs, err := experiment.ChaosSweep(chaosSeeds)
-		if err != nil {
-			return err
-		}
-		experiment.PrintChaos(out, rs)
-		fmt.Fprintln(out)
-		rep.Chaos = rs
-	}
-	// The crash-storm sweep is opt-in: every-prefix crash exploration across
-	// the storage failure modes plus the composed network+storage profile.
-	// Coverage counters go into the report; any recovery-invariant violation
-	// fails the run (unlike throughput, crash consistency is asserted).
-	if exp == "crashstorm" {
-		rs, err := experiment.CrashStormSweep(o.stormSeeds)
-		if err != nil {
-			return err
-		}
-		experiment.PrintCrashStorm(out, rs)
-		fmt.Fprintln(out)
-		rep.CrashStorm = rs
-		if err := experiment.CheckCrashStorm(rs); err != nil {
-			return err
-		}
 	}
 	if jsonPath != "" {
 		if err := rep.WriteFile(jsonPath); err != nil {

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
 	"strings"
 	"testing"
@@ -16,6 +17,22 @@ import (
 	"repro/internal/version"
 	"repro/internal/wire"
 )
+
+// stormSeeds widens every storage-fault matrix below to that many seeds; 0
+// keeps each test's own count. CI runs
+//
+//	go test -race -count=1 ./internal/chaos -run 'CrashStorm|Composed' -storm-seeds 20
+//
+// which covers each storage profile — clean and torn crashes, fsync failure,
+// ENOSPC — and the composed network+storage storm over seeds 1..20.
+var stormSeeds = flag.Int("storm-seeds", 0, "seeds per storage-fault matrix (0 = each test's default)")
+
+func seedCount(def int) int64 {
+	if *stormSeeds > 0 {
+		return int64(*stormSeeds)
+	}
+	return int64(def)
+}
 
 // One fully-loaded storm: every crash prefix, torn variants, every fsync
 // failure point, and ENOSPC — zero violations.
@@ -37,10 +54,10 @@ func TestCrashStormSingleSeed(t *testing.T) {
 }
 
 // The acceptance matrix: >= 20 seeds, every prefix crash point of the mixed
-// push/save/compact workload, with torn-write variants, zero violations.
+// push/save/compact workload, clean and with torn-write variants, zero
+// violations.
 func TestCrashStormMatrix(t *testing.T) {
-	const seeds = 20
-	for seed := int64(1); seed <= seeds; seed++ {
+	for seed := int64(1); seed <= seedCount(20); seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
@@ -51,6 +68,7 @@ func TestCrashStormMatrix(t *testing.T) {
 			for _, v := range res.Violations {
 				t.Error(v)
 			}
+			t.Logf("crash points %d, torn points %d", res.CrashPoints, res.TornPoints)
 		})
 	}
 }
@@ -58,7 +76,7 @@ func TestCrashStormMatrix(t *testing.T) {
 // Fsync-failure and ENOSPC sweeps across a smaller seed band (they re-run
 // the workload live once per fsync point, so the matrix is pricier).
 func TestCrashStormFaultMatrix(t *testing.T) {
-	for seed := int64(1); seed <= 5; seed++ {
+	for seed := int64(1); seed <= seedCount(5); seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
@@ -69,6 +87,10 @@ func TestCrashStormFaultMatrix(t *testing.T) {
 			for _, v := range res.Violations {
 				t.Error(v)
 			}
+			if res.FsyncPoints == 0 || res.NoSpaceRuns == 0 {
+				t.Fatalf("failure modes not exercised: %+v", res)
+			}
+			t.Logf("crash points %d, fsync points %d, nospace runs %d", res.CrashPoints, res.FsyncPoints, res.NoSpaceRuns)
 		})
 	}
 }
@@ -79,7 +101,7 @@ func TestCrashStormFaultMatrix(t *testing.T) {
 // swapped in behind the same listener, and after healing every network
 // fault the client must still converge with zero duplicate applies.
 func TestComposedNetworkStorageFaults(t *testing.T) {
-	for seed := int64(1); seed <= 4; seed++ {
+	for seed := int64(1); seed <= seedCount(4); seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()

@@ -107,7 +107,7 @@ type pendingBase struct {
 // safe for concurrent use: a mutex serializes the bookkeeping fast path,
 // like the FUSE dispatch loop, while triggered delta encodings run on a
 // bounded worker pool outside the lock and are joined back in at the next
-// operation on the same path (or before any upload).
+// operation on a name they pin (or before any upload).
 type Engine struct {
 	// mu serializes the bookkeeping loop itself — the engine's equivalent
 	// of a FUSE dispatch thread — so RPCs and KV writes intentionally run
@@ -455,29 +455,28 @@ func (e *Engine) Rename(oldPath, newPath string) error {
 			// old version is preserved under ent.Dst.
 			if ent.FromUnlink {
 				// The preserved copy is a local trash file the cloud never
-				// saw; the cloud still holds newPath itself — provided the
-				// queued unlink can be retracted, which is only sound when
-				// the unlink is the LAST pending node for the name (a later
-				// node would have chained its version past the deletion).
-				// Then the delta reads the trash content locally but names
-				// newPath as its cloud-side base. Otherwise skip the delta:
-				// the rename ships the raw content correctly.
-				kinds := e.q.PendingKinds(newPath)
-				if len(kinds) > 0 && kinds[len(kinds)-1] == syncqueue.KindUnlink &&
-					e.q.RemoveRecent(newPath, syncqueue.KindUnlink) {
-					e.triggerRenameDelta(oldPath, st.Size, ent.Dst, newPath)
+				// saw; the cloud still holds newPath itself as long as its
+				// queued unlink does not ship, which is only sound when the
+				// unlink is the LAST pending node for the name (a later node
+				// would have chained its version past the deletion). The
+				// delta pins that unlink too: it reads the trash content
+				// locally but names newPath as its cloud-side base, and
+				// replaces the unlink only if it commits. Otherwise the
+				// rename ships the raw content correctly.
+				if p := e.q.Pending(newPath); len(p) > 0 && p[len(p)-1].Kind == syncqueue.KindUnlink {
+					e.triggerRenameDelta(oldPath, newPath, st.Size, ent.Dst, newPath, p[len(p)-1])
 				}
 				_ = e.backing.Unlink(ent.Dst)
 				delete(e.trashVer, ent.Dst)
 			} else {
-				e.triggerRenameDelta(oldPath, st.Size, ent.Dst, ent.Dst)
+				e.triggerRenameDelta(oldPath, newPath, st.Size, ent.Dst, ent.Dst, nil)
 			}
 			e.rel.Remove(newPath)
 		} else if dstSt, err := e.backing.Stat(newPath); err == nil && !dstSt.IsDir && dstSt.Size > 0 {
 			// Table I trigger 2: the name already exists (gedit). Base is
 			// the current content of newPath, still intact on the cloud at
 			// the delta node's queue position.
-			e.triggerRenameDelta(oldPath, st.Size, newPath, newPath)
+			e.triggerRenameDelta(oldPath, newPath, st.Size, newPath, newPath, nil)
 		}
 	}
 	if err := e.backing.Rename(oldPath, newPath); err != nil {
@@ -512,23 +511,19 @@ func (e *Engine) Rename(oldPath, newPath string) error {
 	return nil
 }
 
-// triggerRenameDelta replaces srcPath's buffered write node with a local
-// delta of srcPath's new content (size bytes) against the preserved base.
-// basePath is read locally; serverBase names the delta base as the server
-// will resolve it at the node's queue position.
+// triggerRenameDelta decides a delta for the rename of srcPath onto newPath:
+// srcPath's new content (size bytes), encoded against the preserved base,
+// may replace srcPath's pending write node and, if not nil, the queued unlink
+// of newPath it makes unnecessary (retracted). basePath is read locally;
+// serverBase names the delta base as the server will resolve it at the write
+// node's slot.
 //
-// Whether the delta can ship is decided first, from the queue alone: if the
-// raw writes already uploaded — or a pending node would change the base's or
-// the target's content after the replaced position — the rename itself
-// carries the content and nothing is read or encoded. Otherwise the queue
-// substitution, version stamp and stats all happen here, at the same
-// sequence point a fully serial engine would make them; only the rsync
-// encode itself runs on the worker pool, against the base snapshot and the
-// replaced node's extents. The reserved node ships only after the pool joins
-// (Tick and Drain join before releasing batches), so an unfilled delta can
-// never upload.
-func (e *Engine) triggerRenameDelta(srcPath string, size int64, basePath, serverBase string) {
-	wn := e.q.StableWrite(srcPath, serverBase)
+// Whether the delta may replace anything is decided first, from the queue
+// alone: if the raw writes already uploaded — or a pending node would change
+// the base's or the target's content after the write node — the rename
+// itself carries the content and nothing is read or encoded.
+func (e *Engine) triggerRenameDelta(srcPath, newPath string, size int64, basePath, serverBase string, retracted *syncqueue.Node) {
+	wn := e.q.StableWrite(srcPath, serverBase, retracted)
 	if wn == nil {
 		return
 	}
@@ -541,20 +536,14 @@ func (e *Engine) triggerRenameDelta(srcPath string, size int64, basePath, server
 	if err != nil {
 		return
 	}
-	node := &syncqueue.Node{
-		Kind:     syncqueue.KindDelta,
-		Path:     srcPath,
-		BasePath: serverBase,
-		At:       e.clk.Now(),
-		Ver:      e.counter.Next(),
+	pins := []*syncqueue.Node{wn}
+	if retracted != nil {
+		pins = []*syncqueue.Node{retracted, wn}
 	}
-	// The replacement chains node.Base onto the replaced write node's base.
-	if !e.q.ReplaceWithDeltaAt(wn, node, e.q.TailSeq()) {
-		return
-	}
-	e.vers.Set(srcPath, node.Ver)
 	e.stats.DeltaTriggers++
-	e.encodeInto(node, baseContent, target)
+	d := &syncqueue.Node{Kind: syncqueue.KindDelta, Path: srcPath, BasePath: serverBase,
+		At: e.clk.Now(), Base: wn.Base, Ver: wn.Ver}
+	e.substitute(d, pins, baseContent, target, nil, srcPath, serverBase, newPath)
 }
 
 // deltaTarget returns path's current content (size bytes) as the segments a
@@ -586,21 +575,35 @@ func tiles(extents []syncqueue.Extent, size int64) bool {
 	return end == size
 }
 
-// encodeInto dispatches the local rsync of target against base to the worker
-// pool and fills the reserved delta node at the join. The job touches only
-// base and the target segments, both immutable by now.
-func (e *Engine) encodeInto(node *syncqueue.Node, base []byte, target []syncqueue.Extent) {
+// substitute is the one way a triggered delta reaches the queue. d is
+// another encoding of the version its last pin carries; the caller has set
+// its Base and Ver. The last pin is packed here, so the target segments it
+// lends stay immutable while the pool encodes target against base into
+// d.Delta. At the join d replaces pins only if every pin is still queued and
+// d is smaller on the wire than the nodes it removes; otherwise the queue is
+// untouched and the raw nodes ship. commits, if not nil, counts the commits.
+// The job is registered under names: every name the pins touch.
+func (e *Engine) substitute(d *syncqueue.Node, pins []*syncqueue.Node, base []byte, target []syncqueue.Extent, commits *int, names ...string) {
+	e.q.Pack(d.Path)
+	tail := e.q.TailSeq()
 	bs, meter := e.cfg.BlockSize, e.meter
-	var d *rsync.Delta
-	e.pool.dispatch(node.Path,
+	e.pool.dispatch(names,
 		func() {
 			s := rsync.NewLocalScanner(base, bs, meter)
 			for _, x := range target {
 				s.Write(x.Data)
 			}
-			d = s.Finish()
+			d.Delta = s.Finish()
 		},
-		func() { e.q.FillDelta(node, d) })
+		func() {
+			if wireSize(d) < wireSize(pins...) && e.q.Substitute(d, pins, tail) {
+				if commits != nil {
+					*commits++
+				}
+				return
+			}
+			d.Delta.Release() // the raw nodes ship; nothing else holds the delta
+		})
 }
 
 // Link implements vfs.FS. Links need no relation entry (§III-A): the

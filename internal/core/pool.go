@@ -1,21 +1,25 @@
 package core
 
-import "runtime"
+import (
+	"runtime"
+	"slices"
+)
 
 // deltaPool runs triggered delta encodings off the engine's operation path.
 //
-// The split mirrors what the serial code did at each trigger site: every
-// queue, version-map and stats decision stays exactly where it was — on the
-// engine thread, at the intercept or pack sequence point — and only the pure
-// rsync encode (private snapshots in, *rsync.Delta out) moves to a worker.
-// Each job carries a commit closure that the engine thread runs at a join
-// point to splice the finished delta back in. Joins happen at two places:
+// Every decision a trigger makes — which queue nodes the delta would
+// replace, the version it carries, the stats — stays on the engine thread at
+// the intercept or pack sequence point, and only the pure rsync encode
+// (private snapshots in, *rsync.Delta out) moves to a worker. Each job
+// carries a commit closure that the engine thread runs at a join point to
+// substitute the finished delta for the nodes it pinned, or to let them ship
+// raw. A job is registered under every name its pins touch, and joins happen
+// at two places:
 //
-//   - joinPath, at the top of every mutating file operation, so at most one
-//     job per path is ever in flight and no operation observes a path whose
-//     deferred commit is outstanding;
+//   - joinPath, at the top of every mutating file operation, so no operation
+//     observes or changes a name whose commit is outstanding;
 //   - joinAll, in Tick and Drain before the queue releases upload batches,
-//     so a reserved delta node is always filled before it can ship.
+//     so a pinned node never ships before its commit has decided.
 //
 // Workers are bounded by a semaphore; dispatch itself never blocks (each job
 // gets a goroutine that waits for a slot), so a burst of large encodes queues
@@ -26,7 +30,7 @@ type deltaPool struct {
 }
 
 type deltaJob struct {
-	path    string
+	paths   []string
 	done    chan struct{}
 	compute func()
 	commit  func()
@@ -41,11 +45,11 @@ func newDeltaPool() *deltaPool {
 }
 
 // dispatch schedules compute on a pool worker and registers commit to run on
-// the engine thread at the next join covering path. compute must touch only
-// data private to the job (snapshots, the atomic meter); commit may touch
-// engine state freely.
-func (p *deltaPool) dispatch(path string, compute, commit func()) {
-	j := &deltaJob{path: path, done: make(chan struct{}), compute: compute, commit: commit}
+// the engine thread at the next join covering any of paths. compute must
+// touch only data private to the job (snapshots, the atomic meter); commit
+// may touch engine state freely.
+func (p *deltaPool) dispatch(paths []string, compute, commit func()) {
+	j := &deltaJob{paths: paths, done: make(chan struct{}), compute: compute, commit: commit}
 	p.jobs = append(p.jobs, j)
 	go func() {
 		p.sem <- struct{}{}
@@ -55,15 +59,15 @@ func (p *deltaPool) dispatch(path string, compute, commit func()) {
 	}()
 }
 
-// joinPath waits out and commits every in-flight job for path, in dispatch
-// order. Engine thread only.
+// joinPath waits out and commits every in-flight job registered under path,
+// in dispatch order. Engine thread only.
 func (p *deltaPool) joinPath(path string) {
 	if len(p.jobs) == 0 {
 		return
 	}
 	kept := p.jobs[:0]
 	for _, j := range p.jobs {
-		if j.path == path {
+		if slices.Contains(j.paths, path) {
 			<-j.done
 			j.commit()
 		} else {

@@ -29,8 +29,8 @@ func (e *Engine) Tick(now time.Duration) {
 	for _, path := range e.q.OpenReady(now) {
 		e.packDecision(path)
 	}
-	// Every reserved delta node must be filled before the queue may release
-	// it for upload.
+	// Every pinned node's substitution must be decided before the queue may
+	// release it for upload.
 	e.pool.joinAll()
 	for _, b := range e.q.PopReady(now) {
 		e.pushBatch(b)
@@ -66,8 +66,8 @@ func (e *Engine) Drain() error {
 
 // packDecision runs when a write node for path stops growing (close,
 // upload selection): if a relation-triggered delta is pending, or the
-// in-place update rewrote more than the threshold fraction of the file,
-// replace the buffered raw writes with a local rsync delta (§III-A).
+// in-place update rewrote more than the threshold fraction of the file, a
+// local rsync delta may replace the buffered raw writes (§III-A).
 func (e *Engine) packDecision(path string) {
 	e.pool.joinPath(path)
 	if e.cfg.DisableDelta {
@@ -86,8 +86,8 @@ func (e *Engine) packDecision(path string) {
 
 // resolvePendingDelta finishes the unlink-then-rewrite pattern: the file was
 // deleted (preserved in trash) and re-created; its buffered unlink/create/
-// write nodes collapse into one delta against the version the cloud still
-// holds.
+// write nodes may collapse into one delta against the version the cloud
+// still holds.
 func (e *Engine) resolvePendingDelta(path string, pd pendingBase) {
 	defer func() {
 		delete(e.pendingDelta, path)
@@ -100,19 +100,15 @@ func (e *Engine) resolvePendingDelta(path string, pd pendingBase) {
 	// an older cycle's leftovers, a rename onto it, an interleaved
 	// truncate — voids the invariant that the cloud's content at the
 	// collapsed position is the pre-unlink version, so ship raw instead.
-	kinds := e.q.PendingKinds(path)
-	validTriple := len(kinds) == 3 && kinds[0] == syncqueue.KindUnlink &&
-		kinds[1] == syncqueue.KindCreate && kinds[2] == syncqueue.KindWrite
-	validPair := len(kinds) == 2 && kinds[0] == syncqueue.KindUnlink &&
-		kinds[1] == syncqueue.KindCreate
-	if !validTriple && !validPair {
+	pins := e.q.Pending(path)
+	if (len(pins) != 2 && (len(pins) != 3 || pins[2].Kind != syncqueue.KindWrite)) ||
+		pins[0].Kind != syncqueue.KindUnlink || pins[1].Kind != syncqueue.KindCreate {
 		return
 	}
 
 	// Everything above decided from the queue alone; only now is anything
-	// read. The target is the write node about to be replaced when its
-	// extents are the whole file (a validPair has none: the file was
-	// re-created and never written).
+	// read. The target is the write node when its extents are the whole
+	// file (a pair has none: the file was re-created and never written).
 	st, err := e.backing.Stat(path)
 	if err != nil {
 		return
@@ -122,43 +118,22 @@ func (e *Engine) resolvePendingDelta(path string, pd pendingBase) {
 		return
 	}
 	e.meter.DiskIO(int64(len(baseContent)))
-	target, err := e.deltaTarget(path, st.Size, e.q.LatestPendingWrite(path))
+	last := pins[len(pins)-1]
+	var wn *syncqueue.Node
+	if last.Kind == syncqueue.KindWrite {
+		wn = last
+	}
+	target, err := e.deltaTarget(path, st.Size, wn)
 	if err != nil {
 		return
 	}
-
-	// The unlink must still be queued, or the cloud has already deleted
-	// the file and a delta against it cannot apply.
-	if !e.q.RemoveRecent(path, syncqueue.KindUnlink) {
-		return
-	}
-	// Without the create node the cloud never truncates the file, so the
-	// delta (whose target is the full new content) lands on the old
-	// version — exactly what the local rsync encodes against.
-	if !e.q.RemoveRecent(path, syncqueue.KindCreate) {
-		return // unlink removed alone is still correct: create+write follow raw
-	}
-	// Reserve the delta's queue position and version now; encode on the
-	// pool against the snapshots taken above and fill the node at join time,
-	// which Tick/Drain force before any upload.
-	node := &syncqueue.Node{
-		Kind: syncqueue.KindDelta,
-		Path: path,
-		At:   e.clk.Now(),
-	}
-	node.Ver = e.counter.Next()
-	if !e.q.ReplaceWithDelta(path, node) {
-		// The file was re-created but never written (no write node to
-		// replace). The unlink and create are already removed, so the
-		// delta — whose base is the cloud's still-current content — must
-		// be appended, or the update would vanish entirely.
-		e.q.Append(node)
-	}
-	// The cloud's version of path is still the pre-unlink version.
-	node.Base = pd.baseVer
-	e.vers.Set(path, node.Ver)
+	// Without the unlink and create the cloud never deletes or truncates
+	// the file, so the delta (whose target is the full new content) lands on
+	// the pre-unlink version — exactly what the local rsync encodes against.
 	e.stats.DeltaTriggers++
-	e.encodeInto(node, baseContent, target)
+	d := &syncqueue.Node{Kind: syncqueue.KindDelta, Path: path, At: e.clk.Now(),
+		Base: pd.baseVer, Ver: last.Ver}
+	e.substitute(d, pins, baseContent, target, nil, path)
 }
 
 // maybeInPlaceDelta applies the §III-A extension: when an in-place update
@@ -178,11 +153,7 @@ func (e *Engine) maybeInPlaceDelta(path string) {
 		return
 	}
 	wn := e.q.LatestPendingWrite(path)
-	if wn == nil {
-		return
-	}
-	payload := wn.PayloadBytes()
-	if payload == 0 {
+	if wn == nil || wn.PayloadBytes() == 0 {
 		return
 	}
 	current, err := e.backing.ReadFile(path)
@@ -194,35 +165,9 @@ func (e *Engine) maybeInPlaceDelta(path string) {
 		return
 	}
 	e.meter.DiskIO(int64(len(current)))
-	// Unlike the rename-triggered cases, whether the delta replaces the raw
-	// writes depends on the encoded size, so the substitution itself must
-	// wait for the worker. The write node and the queue tail are pinned here
-	// so the commit produces the position and backindex group an immediate
-	// replacement would have; joinPath at every operation on path keeps both
-	// valid until the commit runs.
-	tail := e.q.TailSeq()
-	at := e.clk.Now()
-	bs, meter := e.cfg.BlockSize, e.meter
-	var d *rsync.Delta
-	e.pool.dispatch(path,
-		func() { d = rsync.DeltaLocal(old, current, bs, meter) },
-		func() {
-			if d.WireSize() >= payload {
-				d.Release() // raw writes are already the cheaper encoding
-				return
-			}
-			node := &syncqueue.Node{
-				Kind:  syncqueue.KindDelta,
-				Path:  path,
-				Delta: d,
-				At:    at,
-			}
-			node.Ver = e.counter.Next()
-			if e.q.ReplaceWithDeltaAt(wn, node, tail) {
-				e.vers.Set(path, node.Ver)
-				e.stats.InPlaceDeltas++
-			}
-		})
+	d := &syncqueue.Node{Kind: syncqueue.KindDelta, Path: path, At: e.clk.Now(),
+		Base: wn.Base, Ver: wn.Ver}
+	e.substitute(d, []*syncqueue.Node{wn}, old, []syncqueue.Extent{{Data: current}}, &e.stats.InPlaceDeltas, path)
 }
 
 // kindToWire maps queue node kinds onto wire node kinds.
@@ -248,22 +193,37 @@ func (e *Engine) pushBatch(b syncqueue.Batch) {
 	wb := &wire.Batch{Atomic: b.Atomic, Seq: e.batchSeq,
 		Nodes: make([]*wire.Node, 0, len(b.Nodes))}
 	for _, n := range b.Nodes {
-		wn := &wire.Node{
-			Kind:     kindToWire[n.Kind],
-			Path:     n.Path,
-			Dst:      n.Dst,
-			Size:     n.Size,
-			Delta:    n.Delta,
-			BasePath: n.BasePath,
-			Base:     n.Base,
-			Ver:      n.Ver,
-		}
-		for _, ext := range n.Extents {
-			wn.Extents = append(wn.Extents, wire.Extent{Off: ext.Off, Data: ext.Data})
-		}
-		wb.Nodes = append(wb.Nodes, wn)
+		wb.Nodes = append(wb.Nodes, toWire(n))
 	}
 	e.enqueueUnsent(wb)
+}
+
+// toWire converts a queue node to its wire form.
+func toWire(n *syncqueue.Node) *wire.Node {
+	wn := &wire.Node{
+		Kind:     kindToWire[n.Kind],
+		Path:     n.Path,
+		Dst:      n.Dst,
+		Size:     n.Size,
+		Delta:    n.Delta,
+		BasePath: n.BasePath,
+		Base:     n.Base,
+		Ver:      n.Ver,
+	}
+	for _, ext := range n.Extents {
+		wn.Extents = append(wn.Extents, wire.Extent{Off: ext.Off, Data: ext.Data})
+	}
+	return wn
+}
+
+// wireSize is what nodes cost on the wire, by the model upload traffic is
+// charged from.
+func wireSize(nodes ...*syncqueue.Node) int64 {
+	var total int64
+	for _, n := range nodes {
+		total += toWire(n).WireSize()
+	}
+	return total
 }
 
 // LastPushError returns the most recent upload failure, if any.

@@ -82,16 +82,6 @@ type Report struct {
 	Fig2   *Fig2Result         `json:"fig2,omitempty"`
 	Table3 []filebench.Result  `json:"table3,omitempty"`
 	Table4 []ReliabilityResult `json:"table4,omitempty"`
-
-	// Chaos is the fault-tolerance sweep: convergence and transport-retry
-	// counters per fault profile (not a paper artifact; tracks the
-	// robustness of the sync path across revisions).
-	Chaos []ChaosResult `json:"chaos,omitempty"`
-
-	// CrashStorm is the storage-fault sweep (-exp crashstorm): crash-point
-	// exploration coverage per storage failure profile. Coverage counters are
-	// reported for the trajectory; violations additionally fail the run.
-	CrashStorm []CrashStormResult `json:"crashstorm,omitempty"`
 }
 
 // AddMatrix records the evaluation matrix in the report.

@@ -6,11 +6,12 @@ import (
 	"repro/internal/wire"
 )
 
-// Loopback is an in-process wire.Endpoint bound directly to a Server. It is
-// what the benchmark harness uses: no sockets, but identical message-size
-// accounting to the network transport (both charge wire.WireSize), so
-// traffic numbers are byte-for-byte comparable while CPU measurements stay
-// free of kernel noise.
+// Loopback is an in-process wire.Endpoint bound directly to a Server. The
+// paper-table experiments (internal/experiment), the baselines and most
+// tests use it: no sockets, but identical message-size accounting to the
+// network transport (both charge wire.WireSize), so traffic numbers are
+// byte-for-byte comparable while CPU measurements stay free of kernel noise.
+// The wall-clock benchmark (bench/) dials TCP instead.
 type Loopback struct {
 	s       *Server
 	id      uint32

@@ -11,8 +11,10 @@
 // FIFO order; each records a *backindex group* — a seq range that the cloud
 // must apply transactionally — exactly the paper's backindex:
 //
-//   - triggered delta encoding replaces a write node, in place, with a delta
-//     node (group: replaced position → tail at that moment);
+//   - a triggered delta replaces the nodes it re-encodes (a write node, and
+//     for a delete-then-rewrite its unlink and create) with one delta node
+//     in the last one's slot (group: first replaced position → the tail
+//     when the nodes were pinned);
 //   - deleting a file whose whole lifetime is still queued removes its
 //     nodes (group: first removed position → tail), so the cloud can never
 //     observe a later file without an earlier one.
@@ -257,21 +259,8 @@ func (q *Queue) Pack(path string) {
 	}
 }
 
-// ReplaceWithDelta substitutes path's most recent not-yet-uploaded write
-// node with a delta node, in place, and records a backindex group covering
-// the replaced position through the current tail. It returns false if no
-// replaceable write node exists (the engine then just appends the delta).
-func (q *Queue) ReplaceWithDelta(path string, d *Node) bool {
-	n := q.LatestPendingWrite(path)
-	if n == nil {
-		return false
-	}
-	return q.ReplaceWithDeltaAt(n, d, q.tailSeq())
-}
-
 // LatestPendingWrite returns path's most recent not-yet-uploaded write node,
-// or nil. The engine pins this node when it defers a delta encode, so the
-// later substitution lands on exactly the node an immediate one would have.
+// or nil.
 func (q *Queue) LatestPendingWrite(path string) *Node {
 	for i := len(q.nodes) - 1; i >= q.head; i-- {
 		n := q.nodes[i]
@@ -283,59 +272,35 @@ func (q *Queue) LatestPendingWrite(path string) *Node {
 }
 
 // TailSeq returns the seq of the newest queued node (baseSeq-1 when the queue
-// has never held a node). Deferred delta commits pin it at decision time so
-// their backindex group covers the same range an immediate replacement's
-// would, not whatever the tail has grown to by commit time.
+// has never held a node). A triggered delta pins it with its nodes, so the
+// group Substitute records covers the range as of the decision, not whatever
+// the tail has grown to by commit time.
 func (q *Queue) TailSeq() uint64 { return q.tailSeq() }
 
-// ReplaceWithDeltaAt substitutes the pinned write node n with delta node d,
-// recording a backindex group from n's position through tail. It returns
-// false if n is no longer queued at its position (uploaded or removed since
-// it was pinned).
-func (q *Queue) ReplaceWithDeltaAt(n, d *Node, tail uint64) bool {
-	if n.Seq < q.baseSeq {
-		return false
-	}
-	i := q.idx(n.Seq)
-	if i < q.head || i >= len(q.nodes) || q.nodes[i] != n {
-		return false
-	}
-	q.buffered -= n.PayloadBytes()
-	if q.open[n.Path] == n {
-		delete(q.open, n.Path)
-	}
-	d.Seq = n.Seq
-	d.Kind = KindDelta
-	// The delta takes the replaced node's position in the version chain: the
-	// server's file version at this position is the write node's base, not
-	// whatever the client map says now.
-	d.Base = n.Base
-	q.nodes[i] = d
-	q.buffered += d.PayloadBytes()
-	if n.Seq <= tail {
-		q.addGroup(group{start: n.Seq, end: tail})
-	}
-	return true
-}
-
-// FillDelta installs the finished delta into a node that was reserved in the
-// queue with a nil Delta (the engine substitutes the node synchronously and
-// encodes off-thread), fixing up buffered-byte accounting. A node that has
-// already left the queue is still filled, but the accounting is untouched.
-func (q *Queue) FillDelta(n *Node, d *rsync.Delta) {
-	live := false
-	if n.Seq >= q.baseSeq {
-		if i := q.idx(n.Seq); i >= q.head && i < len(q.nodes) && q.nodes[i] == n {
-			live = true
+// Substitute replaces pins, the queued nodes a triggered delta d re-encodes,
+// with d, and reports whether it did. d takes the slot of the last pin (the
+// node whose version it re-encodes); the other pins leave the queue; one
+// backindex group covers the first pin through tail, the queue tail when the
+// pins were taken. If any pin has left the queue since (uploaded or dropped),
+// the queue is left untouched and the raw nodes ship. Pins are packed, so
+// none of them is a path's open write node.
+func (q *Queue) Substitute(d *Node, pins []*Node, tail uint64) bool {
+	first := tail
+	for _, p := range pins {
+		if i := q.idx(p.Seq); p.Seq < q.baseSeq || i < q.head || i >= len(q.nodes) || q.nodes[i] != p {
+			return false
 		}
+		first = min(first, p.Seq)
 	}
-	if live {
-		q.buffered -= n.PayloadBytes()
+	for _, p := range pins {
+		q.buffered -= p.PayloadBytes()
+		q.nodes[q.idx(p.Seq)] = nil
 	}
-	n.Delta = d
-	if live {
-		q.buffered += n.PayloadBytes()
-	}
+	d.Seq = pins[len(pins)-1].Seq
+	q.nodes[q.idx(d.Seq)] = d
+	q.buffered += d.PayloadBytes()
+	q.addGroup(group{start: first, end: tail})
+	return true
 }
 
 // DropPending removes all queued trace of path — valid only when the file's
@@ -558,14 +523,14 @@ func modifiesName(n *Node, name string) bool {
 	return false
 }
 
-// PendingKinds returns the kinds of not-yet-uploaded nodes whose Path or Dst
-// equals path, in queue order.
-func (q *Queue) PendingKinds(path string) []Kind {
-	var out []Kind
+// Pending returns the not-yet-uploaded nodes whose Path or Dst equals path,
+// in queue order.
+func (q *Queue) Pending(path string) []*Node {
+	var out []*Node
 	for i := q.head; i < len(q.nodes); i++ {
 		n := q.nodes[i]
 		if n != nil && (n.Path == path || n.Dst == path) {
-			out = append(out, n.Kind)
+			out = append(out, n)
 		}
 	}
 	return out
@@ -573,48 +538,24 @@ func (q *Queue) PendingKinds(path string) []Kind {
 
 // StableWrite returns path's most recent pending write node if a delta
 // against basePath may take its place, nil if there is none or a pending node
-// newer than it modifies basePath or path: an in-position delta is applied by
-// the cloud at the replaced node's position, so its base must hold the same
-// content there that the client encodes against, and its target is the
-// content as of NOW — a later pending rename onto either name would be
-// overwritten out of order. The engine asks before it reads or encodes
-// anything, then substitutes with ReplaceWithDeltaAt; the node's extents are
-// immutable from that point (it has left the queue and the open table).
-func (q *Queue) StableWrite(path, basePath string) *Node {
+// newer than it, other than retracted, modifies basePath or path: an
+// in-position delta is applied by the cloud at the replaced node's position,
+// so its base must hold the same content there that the client encodes
+// against, and its target is the content as of NOW — a later pending rename
+// onto either name would be overwritten out of order. retracted (may be nil)
+// is a node the delta replaces along with the write node. The engine asks
+// before it reads or encodes anything.
+func (q *Queue) StableWrite(path, basePath string, retracted *Node) *Node {
 	w := q.LatestPendingWrite(path)
 	if w == nil {
 		return nil
 	}
 	for i := q.idx(w.Seq) + 1; i < len(q.nodes); i++ {
-		if n := q.nodes[i]; n != nil && (modifiesName(n, basePath) || modifiesName(n, path)) {
+		if n := q.nodes[i]; n != nil && n != retracted && (modifiesName(n, basePath) || modifiesName(n, path)) {
 			return nil
 		}
 	}
 	return w
-}
-
-// RemoveRecent removes the most recent not-yet-uploaded node of the given
-// kind for path (recording a backindex group over the removed position
-// through the tail). It returns whether a node was removed. Used when a
-// triggered delta subsumes an unlink/create pair (the "delete then rewrite"
-// update pattern).
-func (q *Queue) RemoveRecent(path string, kind Kind) bool {
-	for i := len(q.nodes) - 1; i >= q.head; i-- {
-		n := q.nodes[i]
-		if n == nil || n.Kind != kind || n.Path != path {
-			continue
-		}
-		q.buffered -= n.PayloadBytes()
-		if q.open[path] == n {
-			delete(q.open, path)
-		}
-		q.nodes[i] = nil
-		if n.Seq <= q.tailSeq() {
-			q.addGroup(group{start: n.Seq, end: q.tailSeq()})
-		}
-		return true
-	}
-	return false
 }
 
 // compact reclaims fully-consumed prefix storage.

@@ -2,6 +2,7 @@ package syncqueue
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"time"
 
@@ -150,36 +151,40 @@ func TestTruncatePartialTrim(t *testing.T) {
 	}
 }
 
-func TestReplaceWithDelta(t *testing.T) {
+func TestSubstitute(t *testing.T) {
 	// The Word pattern (Fig 6): writes to t1 packed, then replaced by a
-	// delta node; surrounding nodes keep their positions; the covered
-	// range becomes atomic.
+	// delta node; surrounding nodes keep their positions; the pinned node
+	// through the tail when it was pinned becomes atomic.
 	q := New(delay)
 	q.Append(&Node{Kind: KindRename, Path: "f", Dst: "t0", At: 0})
 	q.Append(&Node{Kind: KindCreate, Path: "t1", At: 0})
-	q.Write("t1", 0, bytes.Repeat([]byte{9}, 1000), 0)
+	w := q.Write("t1", 0, bytes.Repeat([]byte{9}, 1000), 0)
 	q.Pack("t1") // close
 	q.Append(&Node{Kind: KindRename, Path: "t1", Dst: "f", At: time.Millisecond})
+	tail := q.TailSeq()
 
 	d := &Node{
+		Kind:     KindDelta,
 		Path:     "t1",
 		BasePath: "t0",
 		Delta:    &rsync.Delta{TargetLen: 1000, Ops: []rsync.Op{{Kind: rsync.OpData, Data: []byte("small")}}},
 		At:       time.Millisecond,
 	}
-	if !q.ReplaceWithDelta("t1", d) {
-		t.Fatal("ReplaceWithDelta found no write node")
-	}
+	// Appended after the pins were taken: outside the group.
 	q.Append(&Node{Kind: KindUnlink, Path: "t0", At: 2 * time.Millisecond})
-
+	if !q.Substitute(d, []*Node{w}, tail) {
+		t.Fatal("Substitute refused a queued pin")
+	}
+	if d.Seq != w.Seq {
+		t.Fatalf("delta seq %d, want the write node's %d", d.Seq, w.Seq)
+	}
 	if q.BufferedBytes() != 5 {
 		t.Fatalf("buffered = %d, want 5 (delta literal)", q.BufferedBytes())
 	}
 
 	// FIFO before the backindex group: rename f->t0 and create t1 ship as
-	// their own batches; the replaced position through the tail at
-	// replacement time ([delta, rename t1->f]) ships atomically; the
-	// unlink (enqueued after the replacement) follows on its own.
+	// their own batches; the replaced position through the pinned tail
+	// ([delta, rename t1->f]) ships atomically; the unlink follows alone.
 	batches := q.PopReady(time.Minute)
 	if len(batches) != 4 {
 		t.Fatalf("batches = %d, want 4", len(batches))
@@ -191,7 +196,7 @@ func TestReplaceWithDelta(t *testing.T) {
 		t.Fatalf("batch 1 = %+v", batches[1])
 	}
 	if !batches[2].Atomic || len(batches[2].Nodes) != 2 ||
-		batches[2].Nodes[0].Kind != KindDelta || batches[2].Nodes[1].Kind != KindRename {
+		batches[2].Nodes[0] != d || batches[2].Nodes[1].Kind != KindRename {
 		t.Fatalf("batch 2 = %+v", batches[2])
 	}
 	if batches[2].Nodes[0].BasePath != "t0" {
@@ -202,11 +207,66 @@ func TestReplaceWithDelta(t *testing.T) {
 	}
 }
 
-func TestReplaceWithDeltaNoWriteNode(t *testing.T) {
-	q := New(delay)
-	q.Append(&Node{Kind: KindCreate, Path: "f", At: 0})
-	if q.ReplaceWithDelta("f", &Node{Path: "f"}) {
-		t.Fatal("ReplaceWithDelta succeeded without a write node")
+// queueState is everything Substitute may change, deep-copied.
+type queueState struct {
+	nodes    []Node
+	groups   []group
+	open     map[string]*Node
+	buffered int64
+	head     int
+	baseSeq  uint64
+}
+
+func snapshot(q *Queue) queueState {
+	st := queueState{groups: append([]group(nil), q.groups...), open: map[string]*Node{},
+		buffered: q.buffered, head: q.head, baseSeq: q.baseSeq}
+	for _, n := range q.nodes {
+		if n != nil {
+			st.nodes = append(st.nodes, *n)
+		} else {
+			st.nodes = append(st.nodes, Node{})
+		}
+	}
+	for k, v := range q.open {
+		st.open[k] = v
+	}
+	return st
+}
+
+func TestSubstituteRefusesPinsThatLeft(t *testing.T) {
+	delta := func() *Node {
+		return &Node{Kind: KindDelta, Path: "f", Delta: &rsync.Delta{Ops: []rsync.Op{{Kind: rsync.OpData, Data: []byte("x")}}}}
+	}
+	for _, tc := range []struct {
+		name  string
+		leave func(q *Queue, w *Node)
+	}{
+		{"uploaded", func(q *Queue, w *Node) { q.PopReady(time.Minute) }},
+		{"dropped", func(q *Queue, w *Node) { q.DropPending("f") }},
+		{"never queued", nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q := New(delay)
+			c := &Node{Kind: KindCreate, Path: "f", At: 0}
+			q.Append(c)
+			w := q.Write("f", 0, bytes.Repeat([]byte{1}, 100), 0)
+			q.Pack("f")
+			tail := q.TailSeq()
+			if tc.leave != nil {
+				tc.leave(q, w)
+			} else {
+				w = &Node{Kind: KindWrite, Path: "f", Seq: w.Seq}
+			}
+			q.Append(&Node{Kind: KindCreate, Path: "g", At: 4 * time.Second})
+			q.Write("g", 0, []byte("later"), 4*time.Second)
+			before := snapshot(q)
+			if q.Substitute(delta(), []*Node{c, w}, tail) {
+				t.Fatal("Substitute committed with a pin no longer queued")
+			}
+			if after := snapshot(q); !reflect.DeepEqual(before, after) {
+				t.Fatalf("refused Substitute changed the queue:\nbefore %+v\nafter  %+v", before, after)
+			}
+		})
 	}
 }
 
@@ -367,18 +427,21 @@ func TestPendingKinds(t *testing.T) {
 	q.Append(&Node{Kind: KindCreate, Path: "f", At: 0})
 	q.Write("f", 0, []byte("x"), 0)
 	q.Append(&Node{Kind: KindRename, Path: "g", Dst: "f", At: 0})
-	kinds := q.PendingKinds("f")
+	var kinds []Kind
+	for _, n := range q.Pending("f") {
+		kinds = append(kinds, n.Kind)
+	}
 	want := []Kind{KindUnlink, KindCreate, KindWrite, KindRename}
 	if len(kinds) != len(want) {
-		t.Fatalf("PendingKinds = %v, want %v", kinds, want)
+		t.Fatalf("Pending kinds = %v, want %v", kinds, want)
 	}
 	for i := range want {
 		if kinds[i] != want[i] {
-			t.Fatalf("PendingKinds = %v, want %v", kinds, want)
+			t.Fatalf("Pending kinds = %v, want %v", kinds, want)
 		}
 	}
-	if got := q.PendingKinds("unrelated"); len(got) != 0 {
-		t.Fatalf("PendingKinds(unrelated) = %v", got)
+	if got := q.Pending("unrelated"); len(got) != 0 {
+		t.Fatalf("Pending(unrelated) = %v", got)
 	}
 }
 
@@ -387,8 +450,16 @@ func TestStableWrite(t *testing.T) {
 	q := New(delay)
 	q.Write("tmp", 0, []byte("new"), 0)
 	q.Append(&Node{Kind: KindRename, Path: "doc", Dst: "base", At: 0})
-	if q.StableWrite("tmp", "base") != nil {
+	if q.StableWrite("tmp", "base", nil) != nil {
 		t.Fatal("replacement allowed despite pending base modification")
+	}
+	// ...unless that node is the one the delta retracts with the write.
+	q1 := New(delay)
+	u := &Node{Kind: KindUnlink, Path: "base", At: 0}
+	w1 := q1.Write("tmp", 0, []byte("new"), 0)
+	q1.Append(u)
+	if got := q1.StableWrite("tmp", "base", u); got != w1 {
+		t.Fatalf("StableWrite with the unlink retracted = %v, want the write node", got)
 	}
 
 	// Target modified after the write node: refuse.
@@ -396,7 +467,7 @@ func TestStableWrite(t *testing.T) {
 	q2.Write("tmp", 0, []byte("new"), 0)
 	q2.Pack("tmp")
 	q2.Append(&Node{Kind: KindRename, Path: "x", Dst: "tmp", At: 0})
-	if q2.StableWrite("tmp", "base") != nil {
+	if q2.StableWrite("tmp", "base", nil) != nil {
 		t.Fatal("replacement allowed despite pending target modification")
 	}
 
@@ -407,11 +478,12 @@ func TestStableWrite(t *testing.T) {
 	q3.Append(&Node{Kind: KindRename, Path: "f", Dst: "base", At: 0}) // before: fine
 	w := q3.Write("tmp", 0, []byte("new"), 0)
 	q3.Append(&Node{Kind: KindLink, Path: "base", Dst: "backup", At: 0})
-	if got := q3.StableWrite("tmp", "base"); got != w {
+	if got := q3.StableWrite("tmp", "base", nil); got != w {
 		t.Fatalf("StableWrite = %v, want the write node", got)
 	}
+	q3.Pack("tmp")
 	d := &Node{Path: "tmp", Delta: &rsync.Delta{}}
-	if !q3.ReplaceWithDeltaAt(w, d, q3.TailSeq()) {
+	if !q3.Substitute(d, []*Node{w}, q3.TailSeq()) {
 		t.Fatal("replacement refused in the clean case")
 	}
 	if d.Seq != w.Seq || q3.HasOpen("tmp") || !bytes.Equal(w.Extents[0].Data, []byte("new")) {
@@ -419,40 +491,68 @@ func TestStableWrite(t *testing.T) {
 	}
 
 	// No write node at all: refuse.
-	if New(delay).StableWrite("tmp", "base") != nil {
+	if New(delay).StableWrite("tmp", "base", nil) != nil {
 		t.Fatal("replacement without a write node")
 	}
 }
 
-func TestRemoveRecentTargetsNewest(t *testing.T) {
+func TestSubstituteCollapsesNewestCycle(t *testing.T) {
+	// Delete then rewrite, twice: the delta pins only the newest cycle's
+	// unlink, create and write. The older cycle stays queued; the delta
+	// takes the newest write's slot; one group covers the newest unlink
+	// through the pinned tail.
 	q := New(delay)
+	q.Append(&Node{Kind: KindUnlink, Path: "f", At: 0})
 	q.Append(&Node{Kind: KindCreate, Path: "f", At: 0})
-	q.Append(&Node{Kind: KindCreate, Path: "f", At: time.Second})
-	if !q.RemoveRecent("f", KindCreate) {
-		t.Fatal("RemoveRecent failed")
+	q.Append(&Node{Kind: KindCreate, Path: "other", At: 0})
+	u := &Node{Kind: KindUnlink, Path: "f", At: time.Second}
+	q.Append(u)
+	c := &Node{Kind: KindCreate, Path: "f", At: time.Second}
+	q.Append(c)
+	q.Append(&Node{Kind: KindMkdir, Path: "dir", At: time.Second})
+	w := q.Write("f", 0, []byte("new"), time.Second)
+	q.Pack("f")
+	tail := q.TailSeq()
+
+	d := &Node{Kind: KindDelta, Path: "f", At: time.Second, Delta: &rsync.Delta{}}
+	if !q.Substitute(d, []*Node{u, c, w}, tail) {
+		t.Fatal("Substitute refused queued pins")
 	}
-	// The older create must remain.
-	kinds := q.PendingKinds("f")
-	if len(kinds) != 1 || kinds[0] != KindCreate {
-		t.Fatalf("kinds after removal = %v", kinds)
+	var kinds []Kind
+	for _, n := range q.Pending("f") {
+		kinds = append(kinds, n.Kind)
 	}
-	if q.RemoveRecent("f", KindUnlink) {
-		t.Fatal("RemoveRecent removed a kind that does not exist")
+	if want := []Kind{KindUnlink, KindCreate, KindDelta}; !reflect.DeepEqual(kinds, want) {
+		t.Fatalf("pending kinds for f = %v, want %v (older cycle kept, newest collapsed)", kinds, want)
+	}
+	if d.Seq != w.Seq {
+		t.Fatalf("delta seq %d, want the write node's %d", d.Seq, w.Seq)
+	}
+	batches := q.PopReady(time.Minute)
+	if len(batches) != 4 {
+		t.Fatalf("batches = %+v, want 4", batches)
+	}
+	group := batches[3]
+	if !group.Atomic || len(group.Nodes) != 2 || group.Nodes[0].Kind != KindMkdir || group.Nodes[1] != d {
+		t.Fatalf("group batch = %+v, want atomic [mkdir, delta]", group)
 	}
 }
 
-func TestBufferedBytesTracksReplace(t *testing.T) {
+func TestBufferedBytesTracksSubstitute(t *testing.T) {
 	q := New(delay)
-	q.Write("f", 0, bytes.Repeat([]byte{1}, 1000), 0)
+	c := &Node{Kind: KindCreate, Path: "f"}
+	q.Append(c)
+	w := q.Write("f", 0, bytes.Repeat([]byte{1}, 1000), 0)
 	if q.BufferedBytes() != 1000 {
 		t.Fatalf("buffered = %d", q.BufferedBytes())
 	}
+	q.Pack("f")
 	d := &Node{Path: "f", Delta: &rsync.Delta{Ops: []rsync.Op{{Kind: rsync.OpData, Data: []byte("xy")}}}}
-	if !q.ReplaceWithDelta("f", d) {
-		t.Fatal("replace failed")
+	if !q.Substitute(d, []*Node{c, w}, q.TailSeq()) {
+		t.Fatal("Substitute refused queued pins")
 	}
 	if q.BufferedBytes() != 2 {
-		t.Fatalf("buffered after replace = %d, want 2", q.BufferedBytes())
+		t.Fatalf("buffered after substitution = %d, want 2", q.BufferedBytes())
 	}
 }
 

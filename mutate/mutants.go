@@ -29,8 +29,8 @@ var mutants = []Mutant{
 	{ID: "P2", Class: classPut, File: "internal/wire/transport.go", Func: "NetClient.exchange", Op: hoist("putFrameBuf", 0, 2, false)},
 	{ID: "P3", Class: classPut, File: "internal/rsync/delta.go", Func: "Scanner.emitCopy",
 		Op: rewrite("s.d.Ops[k-1].Data = lit[:len(lit)-g]", "litPool.Put(lit[:0]); s.d.Ops[k-1].Data = lit[:len(lit)-g]", 0)},
-	{ID: "P4", Class: classPut, File: "internal/core/sync.go", Func: "Engine.maybeInPlaceDelta",
-		Op: rewrite("if e.q.ReplaceWithDeltaAt(", "if d.Release(); e.q.ReplaceWithDeltaAt(", 0)},
+	{ID: "P4", Class: classPut, File: "internal/core/engine.go", Func: "Engine.substitute",
+		Op: rewrite("e.q.Substitute(d, pins, tail)", "func() bool { d.Delta.Release(); return e.q.Substitute(d, pins, tail) }()", 0)},
 
 	// Close dropped
 	{ID: "L1", Class: classClose, File: "internal/wire/transport.go", Func: "serveConn", Op: dropCall("Close", 0)},
@@ -83,6 +83,13 @@ var mutants = []Mutant{
 	{ID: "S1", Class: classDedup, File: "internal/server/server.go", Func: "Server.PushEncoded",
 		Op: rewrite("if b.Seq <= cs.dedup.maxSeq {", "if false && b.Seq <= cs.dedup.maxSeq {", 0)},
 
+	// substitution rule dropped: a triggered delta replaces its pinned nodes
+	// only if they are all still queued and it is smaller on the wire
+	{ID: "T1", Class: classSubst, File: "internal/core/engine.go", Func: "Engine.substitute",
+		Op: rewrite("wireSize(d) < wireSize(pins...) && ", "", 0)},
+	{ID: "T2", Class: classSubst, File: "internal/syncqueue/syncqueue.go", Func: "Queue.Substitute",
+		Op: rewrite("p.Seq < q.baseSeq || i < q.head || i >= len(q.nodes) || q.nodes[i] != p", "false && i >= 0", 0)},
+
 	// order-defining sort dropped
 	{ID: "D1", Class: classSort, File: "internal/server/server.go", Func: "Server.Files", Op: dropCall("Strings", 0)},
 }
@@ -102,4 +109,5 @@ const (
 	classJournal  = "journal skipped or late"
 	classDedup    = "dedup skipped"
 	classSort     = "sort dropped"
+	classSubst    = "substitution rule dropped"
 )
